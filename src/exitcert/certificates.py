@@ -342,12 +342,6 @@ class BandCertificate:
 # batch helpers
 
 
-def _batch_dist(target: TargetSet, X: np.ndarray) -> np.ndarray:
-    if target.batch_distance is not None:
-        return np.asarray(target.batch_distance(X), dtype=float)
-    return np.array([target.d(x) for x in X], dtype=float)
-
-
 def _batch_h_for_gradients(
     system: ControlSystem, X: np.ndarray, P: np.ndarray, p0: float
 ) -> np.ndarray:
@@ -476,7 +470,7 @@ def verify_mrf_band(
     notes: list[str] = []
     X = grid.points()
     U = mrf.u_batch(X)
-    D = _batch_dist(target, X)
+    D = target.d_many(X)
     if np.any(~np.isfinite(U)):
         bad = X[np.where(~np.isfinite(U))[0][0]]
         raise SingularDynamics(bad, "candidate value non-finite")
@@ -674,7 +668,7 @@ def check_supersolution(
         lo, hi = band
         keep &= (U >= lo) & (U <= hi)
     if target is not None:
-        keep &= _batch_dist(target, X) > d_floor
+        keep &= target.d_many(X) > d_floor
     X, U = X[keep], U[keep]
 
     n_checked = 0
@@ -860,7 +854,7 @@ def check_weak_petrov(
     phi = MonotonePL(np.array(knots_x), np.array(knots_y), extrapolate="linear")
 
     # directional decrease of the distance at the sample points
-    D = _batch_dist(target, X)
+    D = target.d_many(X)
     sel = (D > d_floor) & (D < delta)
     n_checked = 0
     worst_slack = -np.inf
@@ -896,7 +890,7 @@ def check_weak_petrov(
         p0_bar=p0_bar,
         limiting_gradients_fn=induced_grads,
         batch_value=(
-            (lambda Xq: np.asarray(phi(_batch_dist(target, np.asarray(Xq, dtype=float)))))
+            (lambda Xq: np.asarray(phi(target.d_many(Xq))))
             if target.batch_distance is not None
             else None
         ),

@@ -21,7 +21,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .certificates import (
     BandCertificate,
     DecreaseModulus,
@@ -147,7 +145,6 @@ def _provenance(cfg: RunConfig, seed: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "backend": BACKEND,
         "seed": seed,
         "config_digest": cfg.digest(),
         "system": {"name": cfg.system.name, "params": cfg.system.params},
@@ -422,7 +419,6 @@ def cmd_synthesize(args) -> int:
     vcfg = cfg.require("verify")
     seed = _effective_seed(args, cfg)
     out = _out_dir(args, cfg)
-    threads = args.threads if args.threads else cfg.threads
 
     outcome = run_verify_stage(cfg, seed)
     if not outcome.passed and not args.force:
@@ -472,18 +468,11 @@ def cmd_synthesize(args) -> int:
             kl_block = {"error": type(exc).__name__, "message": str(exc)}
             log.error("decay certificate unavailable: %s", exc)
 
-    run = lambda pair: _synthesize_one(
-        example, modulus, syn_cfg, sigma_cap, kl, cfg.kl.tol, pair[0], pair[1]
-    )
-    items = list(enumerate(scfg.initial_states))
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, items))
-    else:
-        results = [run(pair) for pair in items]
-
     entries = []
-    for entry, traj in results:
+    for idx, x0 in enumerate(scfg.initial_states):
+        entry, traj = _synthesize_one(
+            example, modulus, syn_cfg, sigma_cap, kl, cfg.kl.tol, idx, x0
+        )
         if traj is not None:
             fname = f"trajectory_{entry['index']}.csv"
             write_trajectory_csv(out / fname, traj)
@@ -557,7 +546,6 @@ def cmd_oracle(args) -> int:
                 "spacing": ocfg.grid.spacing,
             },
             "h": ocfg.h,
-            "mode": ocfg.mode,
             "collar": collar_info,
         }
     )
@@ -570,7 +558,6 @@ def cmd_oracle(args) -> int:
             ocfg.h,
             iter_tol=ocfg.iter_tol,
             max_sweeps=ocfg.max_sweeps,
-            mode=ocfg.mode,
             target_radius=ocfg.target_radius,
             pin=pin,
         )
@@ -697,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="YAML run configuration")
     common.add_argument("-o", "--out", metavar="DIR",
                         help="output directory (default: output.dir from the config)")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="cap on worker threads (default: from the config)")
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed override for sampled audits")
     common.add_argument("--force", action="store_true",

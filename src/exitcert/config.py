@@ -242,7 +242,6 @@ class SynthesisSection:
     delta_min_rel: float = 1e-9
     mf_safety: float = 2.0
     max_steps_per_leg: int = 20000
-    band_delta: Optional[float] = None
     band_sigma: Optional[float] = None
 
     @classmethod
@@ -250,7 +249,7 @@ class SynthesisSection:
         raw = _as_mapping(raw, path)
         allowed = ("initial_states", "epsilon", "nu_ratio", "max_levels", "delta_init",
                    "substeps", "d_tol", "level_tol_rel", "delta_min_rel", "mf_safety",
-                   "max_steps_per_leg", "band_delta", "band_sigma")
+                   "max_steps_per_leg", "band_sigma")
         _check_keys(raw, allowed, path)
         if "initial_states" not in raw:
             _fail(path, "missing required key 'initial_states'")
@@ -290,15 +289,9 @@ class SynthesisSection:
         if "max_steps_per_leg" in raw:
             kw["max_steps_per_leg"] = _as_int(raw["max_steps_per_leg"],
                                               f"{path}.max_steps_per_leg", lo=10)
-        if "band_delta" in raw and raw["band_delta"] is not None:
-            kw["band_delta"] = _as_float(raw["band_delta"], f"{path}.band_delta",
-                                         lo=0.0, lo_open=True)
         if "band_sigma" in raw and raw["band_sigma"] is not None:
             kw["band_sigma"] = _as_float(raw["band_sigma"], f"{path}.band_sigma",
                                          lo=0.0, lo_open=True)
-        if kw.get("band_delta") is not None and kw.get("band_sigma") is not None:
-            if not kw["band_delta"] < kw["band_sigma"]:
-                _fail(path, "band_delta must be < band_sigma")
         return cls(**kw)
 
 
@@ -328,7 +321,6 @@ class OracleSection:
     h: float
     iter_tol: float = 1e-8
     max_sweeps: int = 100000
-    mode: str = "gauss_seidel"
     collar: float = 0.0
     target_radius: Optional[float] = None
     oracle_tol: Optional[float] = None
@@ -336,8 +328,8 @@ class OracleSection:
     @classmethod
     def parse(cls, raw: dict, path: str) -> "OracleSection":
         raw = _as_mapping(raw, path)
-        allowed = ("grid", "h", "iter_tol", "max_sweeps", "mode", "collar",
-                   "target_radius", "oracle_tol")
+        allowed = ("grid", "h", "iter_tol", "max_sweeps", "collar", "target_radius",
+                   "oracle_tol")
         _check_keys(raw, allowed, path)
         for key in ("grid", "h"):
             if key not in raw:
@@ -350,9 +342,6 @@ class OracleSection:
             kw["iter_tol"] = _as_float(raw["iter_tol"], f"{path}.iter_tol", lo=0.0, lo_open=True)
         if "max_sweeps" in raw:
             kw["max_sweeps"] = _as_int(raw["max_sweeps"], f"{path}.max_sweeps", lo=1)
-        if "mode" in raw:
-            kw["mode"] = _as_str(raw["mode"], f"{path}.mode",
-                                 choices=("gauss_seidel", "jacobi"))
         if "collar" in raw:
             kw["collar"] = _as_float(raw["collar"], f"{path}.collar", lo=0.0)
         if "target_radius" in raw and raw["target_radius"] is not None:
@@ -392,7 +381,6 @@ class RunConfig:
     petrov: PetrovSection = field(default_factory=PetrovSection)
     output: OutputSection = field(default_factory=OutputSection)
     seed: int = 0
-    threads: int = 1
 
     def digest(self) -> str:
         """Stable fingerprint of the parsed config, for report provenance."""
@@ -421,16 +409,13 @@ def _as_plain(obj):
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a raw mapping (already YAML-parsed) into a RunConfig."""
     raw = _as_mapping(raw, "<root>")
-    allowed = ("seed", "threads", "system", "verify", "synthesis", "kl",
-               "oracle", "petrov", "output")
+    allowed = ("seed", "system", "verify", "synthesis", "kl", "oracle", "petrov", "output")
     _check_keys(raw, allowed, "<root>")
     if "system" not in raw:
         _fail("<root>", "missing required section 'system'")
     kw: dict = {"system": SystemConfig.parse(raw["system"], "system")}
     if "seed" in raw:
         kw["seed"] = _as_int(raw["seed"], "seed", lo=0)
-    if "threads" in raw:
-        kw["threads"] = _as_int(raw["threads"], "threads", lo=1, hi=256)
     if "verify" in raw:
         kw["verify"] = VerifySection.parse(raw["verify"], "verify")
     if "synthesis" in raw:

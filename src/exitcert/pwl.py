@@ -53,6 +53,11 @@ class MonotonePL:
             raise ValueError("knot abscissae must be strictly increasing")
         if np.any(np.diff(ys) < 0):
             raise ValueError("knot values must be non-decreasing")
+        with np.errstate(over="ignore"):
+            slopes = np.diff(ys) / np.diff(xs)
+        if not np.all(np.isfinite(slopes)):
+            # np.interp and the end-slope extrapolation would return inf
+            raise ValueError("a segment slope overflows: knot abscissae too close")
         if self.extrapolate not in ("linear", "clamp"):
             raise ValueError(f"unknown extrapolation mode {self.extrapolate!r}")
 

@@ -796,13 +796,13 @@ def build_sigma_envelopes(
     raw minimum sits below any useful margin, and deflating it further
     would break the sandwich rather than strengthen it.
     """
-    from .certificates import GridSpec, _batch_dist  # local import to avoid a cycle
+    from .certificates import GridSpec  # local import to avoid a cycle
 
     if not isinstance(grid, GridSpec):
         raise ConfigError("grid must be a GridSpec")
     X = grid.points()
     U = mrf.u_batch(X)
-    D = _batch_dist(target, X)
+    D = target.d_many(X)
     keep = np.isfinite(U) & (U >= 0.0)
     U, D = U[keep], D[keep]
     if U.size == 0:

@@ -174,6 +174,21 @@ class TargetSet:
             raise ConfigError(f"distance evaluated to {val} at x={np.asarray(x).tolist()}")
         return val
 
+    def d_many(self, X: np.ndarray) -> np.ndarray:
+        """d at every row of X, through batch_distance when it is given.
+
+        Raises like d on a non-finite or negative distance.
+        """
+        X = np.asarray(X, dtype=float)
+        if self.batch_distance is None:
+            return np.array([self.d(x) for x in X], dtype=float)
+        D = np.asarray(self.batch_distance(X), dtype=float)
+        bad = ~np.isfinite(D) | (D < 0)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ConfigError(f"distance evaluated to {D[i]} at x={X[i].tolist()}")
+        return D
+
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         return self.d(x) <= tol
 

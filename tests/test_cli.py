@@ -9,8 +9,11 @@ code contract (0 ok, 1 certificate/invariant failure, 2 config error,
 import json
 
 import pytest
+import yaml
 
 from exitcert.cli import main
+from exitcert.config import config_from_dict
+from exitcert.systems import ConfigError
 
 MT_CFG = """\
 seed: 0
@@ -98,7 +101,7 @@ def test_verify_report_contents(tmp_path, mt_cfg):
     assert main(["verify", "-c", mt_cfg, "-o", str(out)]) == 0
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["schema_version"] == "1"
-    assert rep["backend"] in ("c", "py")
+    assert "backend" not in rep
     assert rep["seed"] == 0
     assert len(rep["config_digest"]) == 16
     assert rep["passed"] is True
@@ -179,6 +182,14 @@ BAD_CONFIGS = [
 def test_bad_configs_exit_2(tmp_path, text):
     cfg = _write(tmp_path, text, name="bad.yaml")
     assert main(["verify", "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("section, key", [(None, "threads"), ("synthesis", "band_delta")])
+def test_removed_knobs_are_unknown_keys(section, key):
+    raw = yaml.safe_load(MT_CFG)
+    (raw[section] if section else raw)[key] = 1
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
+        config_from_dict(raw)
 
 
 def test_missing_config_file_exits_2(tmp_path):

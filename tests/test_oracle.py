@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from gs_reference import gs_value_table
 
 from exitcert.certificates import GridSpec
+from exitcert.config import config_from_dict
 from exitcert.library import minimum_time_1d, power_law, spiral
 from exitcert.oracle import (
     BIG,
@@ -65,10 +67,10 @@ def test_quadratic_cost_table_matches_closed_form():
 
 
 def test_jacobi_agrees_with_gauss_seidel(mt_table):
-    ex, gs = mt_table
-    jac = hjb_value_iteration(ex.system, ex.target, GRID_1D, 0.01, mode="jacobi")
-    np.testing.assert_allclose(jac.values, gs.values, atol=1e-9)
-    assert jac.sweeps >= gs.sweeps  # synchronous updates propagate slower
+    ex, jac = mt_table
+    gs, gs_sweeps = gs_value_table(ex.system, ex.target, GRID_1D, 0.01)
+    np.testing.assert_allclose(jac.values, gs, atol=1e-9)
+    assert jac.sweeps >= gs_sweeps  # synchronous updates propagate slower
 
 
 def test_non_convergence_is_typed(mt_table):
@@ -79,10 +81,15 @@ def test_non_convergence_is_typed(mt_table):
     assert exc.value.last_change > exc.value.tol
 
 
-def test_mode_and_dimension_guards(mt_table):
-    ex, _ = mt_table
-    with pytest.raises(ConfigError):
-        hjb_value_iteration(ex.system, ex.target, GRID_1D, 0.01, mode="sor")
+def test_mode_and_dimension_guards():
+    # there is one iteration scheme, so a config asking for one is a typo
+    raw = {
+        "system": {"name": "minimum_time_1d"},
+        "oracle": {"grid": {"lower": [-2.0], "upper": [2.0], "spacing": 0.01},
+                   "h": 0.01, "mode": "jacobi"},
+    }
+    with pytest.raises(ConfigError, match=r"'oracle'.*unknown key\(s\) \['mode'\]"):
+        config_from_dict(raw)
     sys4 = ControlSystem(
         name="still",
         state_dim=4,

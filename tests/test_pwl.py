@@ -1,10 +1,11 @@
 """Piecewise-linear monotone tables: interpolation, inversion, min, roots."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exitcert.pwl import (
@@ -53,6 +54,9 @@ def test_rejects_bad_knots():
         MonotonePL(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         MonotonePL(np.array([0.0, 1.0]), np.array([0.0, np.inf]))
+    # finite knots whose slope overflows: np.interp would return inf
+    with pytest.raises(ValueError, match="slope overflows"):
+        MonotonePL(np.array([0.0, 2.225073858507203e-309]), np.array([0.25, 1.25]))
 
 
 def test_inverse_requires_strict_increase():
@@ -64,11 +68,17 @@ def test_inverse_requires_strict_increase():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8, unique=True))
+@example([0.0, 2.225073858507203e-309])
 def test_inverse_roundtrip(xs):
     xs = np.sort(np.asarray(xs))
     # unit y-increments keep the values strictly increasing even when two
     # abscissae are only a rounding error apart
     ys = 0.25 + np.arange(len(xs), dtype=float)
+    if min(b - a for a, b in zip(xs[:-1], xs[1:])) < 1.0 / sys.float_info.max:
+        # a unit rise over this gap has no finite slope
+        with pytest.raises(ValueError, match="slope overflows"):
+            MonotonePL(xs, ys)
+        return
     pl = MonotonePL(xs, ys)
     inv = pl.inverse()
     probe = np.linspace(xs[0], xs[-1], 17)

@@ -142,6 +142,14 @@ def test_target_distance_validation():
     t2 = TargetSet(name="nan", distance=lambda x: float("nan"))
     with pytest.raises(ConfigError):
         t2.d(np.array([0.0]))
+    # the batch path checks its values the same way d does
+    X = np.array([[0.0], [1.0]])
+    for bad in (-1.0, np.nan, np.inf):
+        t3 = TargetSet(name="batch", distance=lambda x: abs(float(x[0])),
+                       batch_distance=lambda X, bad=bad: np.array([0.0, bad]))
+        with pytest.raises(ConfigError, match=r"at x=\[1\.0\]"):
+            t3.d_many(X)
+    np.testing.assert_array_equal(MT.target.d_many(X), [0.0, 1.0])
 
 
 def test_target_contains():
