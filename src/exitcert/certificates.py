@@ -101,86 +101,85 @@ class GridSpec:
 class SmoothPiece:
     """One smooth branch of a candidate: value, gradient, active region.
 
-    The region predicate should be generous on closures (adjacent pieces
-    both active on their shared boundary); activity is then confirmed by
-    agreement of the piece value with the candidate value.
+    All three callables take an (N, dim) block and return (N,), (N, dim)
+    and a boolean (N,) mask.  The region predicate should be generous on
+    closures (adjacent pieces both active on their shared boundary);
+    activity is then confirmed by agreement of the piece value with the
+    candidate value.
     """
 
     name: str
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    region: Callable[[np.ndarray], bool]
-    batch_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    batch_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    batch_region: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def batchable(self) -> bool:
-        return (
-            self.batch_value is not None
-            and self.batch_gradient is not None
-            and self.batch_region is not None
-        )
+    batch_value: Callable[[np.ndarray], np.ndarray]
+    batch_gradient: Callable[[np.ndarray], np.ndarray]
+    batch_region: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
 class CandidateMrf:
     """Scalar candidate U with limiting gradients from its smooth pieces.
 
-    p0_bar is the cost multiplier the candidate claims to work with.
-    band_constants may carry externally known bounds (gradient bound L,
-    semiconcavity constant rho, anchor radius R); verification fills in
-    sampled estimates for missing entries.
+    ``batch_value`` evaluates U on an (N, dim) block; ``value`` evaluates
+    it at one point, for the synthesis integrator.  p0_bar is the cost
+    multiplier the candidate claims to work with.  band_constants may
+    carry externally known bounds (gradient bound L, semiconcavity
+    constant rho, anchor radius R); verification fills in sampled
+    estimates for missing entries.
     """
 
     name: str
     value: Callable[[np.ndarray], float]
+    batch_value: Callable[[np.ndarray], np.ndarray]
     p0_bar: float
-    smooth_pieces: tuple = ()
-    limiting_gradients_fn: Optional[Callable[[np.ndarray], list]] = None
-    batch_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    smooth_pieces: tuple
     act_tol: float = 1e-9
     band_constants: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p0_bar <= 1.0:
             raise ConfigError(f"p0_bar must lie in [0, 1], got {self.p0_bar}")
-        if not self.smooth_pieces and self.limiting_gradients_fn is None:
-            raise ConfigError("candidate needs smooth pieces or a gradient callable")
+        if not self.smooth_pieces:
+            raise ConfigError("candidate needs at least one smooth piece")
 
     def u(self, x: np.ndarray) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
 
     def u_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.batch_value is not None:
-            return np.asarray(self.batch_value(X), dtype=float)
-        return np.array([self.u(x) for x in X], dtype=float)
+        return np.asarray(self.batch_value(X), dtype=float)
+
+    def active_masks(self, X: np.ndarray, U: np.ndarray) -> list:
+        """One boolean mask over the rows of X per smooth piece.
+
+        A piece is active at x iff x lies in its region and its value is
+        within act_tol of U(x); a NaN piece value counts as inactive.
+        Piece values are only evaluated on rows inside the region.
+        """
+        masks = []
+        for piece in self.smooth_pieces:
+            act = np.array(piece.batch_region(X), dtype=bool)
+            sel = np.flatnonzero(act)
+            if sel.size:
+                pv = np.asarray(piece.batch_value(X[sel]), dtype=float)
+                act[sel] = np.abs(pv - U[sel]) <= self.act_tol
+            masks.append(act)
+        return masks
 
     def active_pieces(self, x: np.ndarray) -> list:
         x = np.asarray(x, dtype=float)
-        u0 = self.u(x)
-        out = []
-        for piece in self.smooth_pieces:
-            if piece.region(x) and abs(float(piece.value(x)) - u0) <= self.act_tol:
-                out.append(piece)
-        return out
+        masks = self.active_masks(x[None], np.array([self.u(x)]))
+        return [piece for piece, act in zip(self.smooth_pieces, masks) if act[0]]
 
     def limiting_gradients(self, x: np.ndarray) -> list:
         """Gradients of all pieces active at x (singleton on smooth points)."""
         x = np.asarray(x, dtype=float)
-        if self.limiting_gradients_fn is not None:
-            return [np.asarray(p, dtype=float) for p in self.limiting_gradients_fn(x)]
-        grads = [np.asarray(p.gradient(x), dtype=float) for p in self.active_pieces(x)]
+        grads = [
+            np.asarray(p.batch_gradient(x[None]), dtype=float)[0] for p in self.active_pieces(x)
+        ]
         if not grads:
             raise ConfigError(
                 f"no smooth piece active at x={x.tolist()} (U={self.u(x)}); "
                 "check piece regions and act_tol"
             )
         return grads
-
-    @property
-    def batchable(self) -> bool:
-        return bool(self.smooth_pieces) and all(p.batchable for p in self.smooth_pieces)
 
 
 # ----------------------------------------------------------------------
@@ -347,19 +346,15 @@ def _batch_h_for_gradients(
 ) -> np.ndarray:
     """Minimized Hamiltonian at each (x, p) row pair, vectorized over controls."""
     H = np.full(len(X), np.inf)
-    for a in system.control_set:
-        if system.batch_dynamics is not None and system.batch_lagrangian is not None:
-            F = np.asarray(system.batch_dynamics(X, a), dtype=float)
-            L = np.asarray(system.batch_lagrangian(X, a), dtype=float)
-        else:
-            F = np.array([system.dynamics(x, a) for x in X], dtype=float)
-            L = np.array([system.lagrangian(x, a) for x in X], dtype=float)
+    for k, a in enumerate(system.control_set):
+        F = np.asarray(system.batch_dynamics(X, a), dtype=float)
+        L = np.asarray(system.batch_lagrangian(X, a), dtype=float)
         if np.any(~np.isfinite(F)) or np.any(~np.isfinite(L)):
             bad = np.where(~np.isfinite(F).all(axis=1) | ~np.isfinite(L))[0][0]
             raise SingularDynamics(X[bad], "batch dynamics evaluation")
         if np.any(L < 0):
             bad = int(np.argmin(L))
-            raise NegativeLagrangian(X[bad], -1, float(L[bad]))
+            raise NegativeLagrangian(X[bad], k, float(L[bad]))
         np.minimum(H, p0 * L + np.einsum("ij,ij->i", P, F), out=H)
     return H
 
@@ -371,28 +366,16 @@ def _band_hamiltonians(
 
     Returns the per-point worst H and the largest sampled gradient norm.
     """
-    n = len(Xb)
-    worst = np.full(n, -np.inf)
+    worst = np.full(len(Xb), -np.inf)
     max_p = 0.0
-    if mrf.batchable:
-        for piece in mrf.smooth_pieces:
-            act = np.asarray(piece.batch_region(Xb), dtype=bool)
-            if not np.any(act):
-                continue
-            pv = np.asarray(piece.batch_value(Xb[act]), dtype=float)
-            agree = np.abs(pv - Ub[act]) <= mrf.act_tol
-            idx = np.where(act)[0][agree]
-            if idx.size == 0:
-                continue
-            P = np.asarray(piece.batch_gradient(Xb[idx]), dtype=float)
-            max_p = max(max_p, float(np.max(np.linalg.norm(P, axis=1))))
-            Hp = _batch_h_for_gradients(system, Xb[idx], P, mrf.p0_bar)
-            np.maximum.at(worst, idx, Hp)
-    else:
-        for i, x in enumerate(Xb):
-            for p in mrf.limiting_gradients(x):
-                max_p = max(max_p, float(np.linalg.norm(p)))
-                worst[i] = max(worst[i], hamiltonian(system, x, mrf.p0_bar, p))
+    for piece, act in zip(mrf.smooth_pieces, mrf.active_masks(Xb, Ub)):
+        idx = np.flatnonzero(act)
+        if idx.size == 0:
+            continue
+        P = np.asarray(piece.batch_gradient(Xb[idx]), dtype=float)
+        max_p = max(max_p, float(np.max(np.linalg.norm(P, axis=1))))
+        Hp = _batch_h_for_gradients(system, Xb[idx], P, mrf.p0_bar)
+        np.maximum.at(worst, idx, Hp)
     uncovered = ~np.isfinite(worst)
     if np.any(uncovered):
         bad = Xb[np.where(uncovered)[0][0]]
@@ -411,10 +394,10 @@ def _estimate_semiconcavity(
     h = 0.5 * spacing
     worst = 0.0
     for x in Xb[::stride]:
-        pieces = mrf.active_pieces(x) if mrf.smooth_pieces else []
+        pieces = mrf.active_pieces(x)
         if len(pieces) != 1:
             continue
-        p = np.asarray(pieces[0].gradient(x), dtype=float)
+        p = np.asarray(pieces[0].batch_gradient(x[None]), dtype=float)[0]
         u0 = mrf.u(x)
         for ax in range(len(x)):
             step = np.zeros_like(x)
@@ -574,9 +557,8 @@ def verify_mrf_band(
     constants = dict(mrf.band_constants)
     if estimate_constants:
         constants.setdefault("L", 1.5 * max_p if max_p > 0 else 1.0)
-        if mrf.smooth_pieces:
-            rho_hat = _estimate_semiconcavity(mrf, Xb, grid.spacing)
-            constants.setdefault("rho", 1.5 * rho_hat if rho_hat > 0 else 0.0)
+        rho_hat = _estimate_semiconcavity(mrf, Xb, grid.spacing)
+        constants.setdefault("rho", 1.5 * rho_hat if rho_hat > 0 else 0.0)
 
     certified = (
         not violations
@@ -657,7 +639,8 @@ def check_supersolution(
     Points where several pieces are active (or none) are skipped and
     counted; the inequality there is the band certificate's job.  When a
     target is supplied, points within d_floor of it are dropped (the
-    dynamics may be singular on the target boundary).
+    dynamics may be singular on the target boundary).  A check that
+    reaches no point fails: it certifies nothing.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim == 1:
@@ -672,53 +655,29 @@ def check_supersolution(
     X, U = X[keep], U[keep]
 
     n_checked = 0
-    n_skipped = 0
     worst = -np.inf
     failures: list[Violation] = []
 
-    if mrf.batchable:
-        acts = np.zeros(len(X), dtype=int)
-        piece_masks = []
-        for piece in mrf.smooth_pieces:
-            act = np.asarray(piece.batch_region(X), dtype=bool).copy()
-            sel = np.where(act)[0]
-            if sel.size:
-                pv = np.asarray(piece.batch_value(X[sel]), dtype=float)
-                act[sel[np.abs(pv - U[sel]) > mrf.act_tol]] = False
-            piece_masks.append(act)
-            acts += act.astype(int)
-        unique = acts == 1
-        n_skipped = int(np.sum(~unique))
-        for piece, act in zip(mrf.smooth_pieces, piece_masks):
-            sel = act & unique
-            if not np.any(sel):
-                continue
-            P = np.asarray(piece.batch_gradient(X[sel]), dtype=float)
-            H = _batch_h_for_gradients(system, X[sel], P, mrf.p0_bar)
-            marg = H + modulus(U[sel])
-            n_checked += int(sel.sum())
-            if marg.size:
-                worst = max(worst, float(np.max(marg)))
-                for i in np.where(marg > tol)[0][:max_records]:
-                    xi = X[sel][i]
-                    failures.append(
-                        Violation("supersolution", tuple(xi), float(marg[i]), p=tuple(P[i]))
-                    )
-    else:
-        for x, u0 in zip(X, U):
-            pieces = mrf.active_pieces(x)
-            if len(pieces) != 1:
-                n_skipped += 1
-                continue
-            p = np.asarray(pieces[0].gradient(x), dtype=float)
-            marg = hamiltonian(system, x, mrf.p0_bar, p) + modulus(u0)
-            n_checked += 1
-            worst = max(worst, float(marg))
-            if marg > tol and len(failures) < max_records:
-                failures.append(Violation("supersolution", tuple(x), float(marg), p=tuple(p)))
+    piece_masks = mrf.active_masks(X, U)
+    unique = np.sum(piece_masks, axis=0) == 1
+    n_skipped = int(np.sum(~unique))
+    for piece, act in zip(mrf.smooth_pieces, piece_masks):
+        sel = act & unique
+        if not np.any(sel):
+            continue
+        P = np.asarray(piece.batch_gradient(X[sel]), dtype=float)
+        H = _batch_h_for_gradients(system, X[sel], P, mrf.p0_bar)
+        marg = H + modulus(U[sel])
+        n_checked += int(sel.sum())
+        worst = max(worst, float(np.max(marg)))
+        for i in np.where(marg > tol)[0][:max_records]:
+            xi = X[sel][i]
+            failures.append(
+                Violation("supersolution", tuple(xi), float(marg[i]), p=tuple(P[i]))
+            )
 
     return SupersolutionReport(
-        passed=not failures,
+        passed=not failures and n_checked > 0,
         n_points=len(X),
         n_checked=n_checked,
         n_skipped=n_skipped,
@@ -753,7 +712,6 @@ class PetrovReport:
     tail: float
     increments: list
     ratios: list
-    mrf: CandidateMrf
     failures: list
 
     def to_dict(self) -> dict:
@@ -783,14 +741,15 @@ def check_weak_petrov(
     tol: float = 1e-9,
     max_records: int = 32,
 ) -> PetrovReport:
-    """Check the directional decrease of d and build the induced candidate.
+    """Check the directional decrease of d and build the induced gauge.
 
     For minimum-time problems (l identically 1) with a rate mu whose
     reciprocal is integrable at 0: checks min_a <p, f(x,a)> <= -mu(d(x))
     for the limiting gradients p of the distance at sample points with
-    0 < d < delta, builds the gauge phi(r) as the integral of 1/mu by
-    decade-wise quadrature, and returns the composed candidate phi(d(.))
-    whose Hamiltonian margin is -(1 - p0_bar) for any p0_bar < 1.
+    0 < d < delta, and the Hamiltonian margin -(1 - p0_bar) of the
+    composed candidate phi(d(.)) at the same points, where the gauge
+    phi(r) is the integral of 1/mu built by decade-wise quadrature.  A
+    check that reaches no sample point fails.
 
     Raises IntegrabilityError when the decade integrals of 1/mu fail to
     decay geometrically (the gauge would diverge).
@@ -861,12 +820,7 @@ def check_weak_petrov(
     worst_h = -np.inf
     failures: list[Violation] = []
 
-    def induced_grads(x: np.ndarray) -> list:
-        r = target.d(x)
-        return [np.asarray(q, dtype=float) / float(mu(r)) for q in target.distance_gradients(x)]
-
-    for x in X[sel]:
-        r = target.d(x)
+    for x, r in zip(X[sel], D[sel]):
         mu_r = float(mu(r))
         for q in target.distance_gradients(x):
             q = np.asarray(q, dtype=float)
@@ -884,19 +838,8 @@ def check_weak_petrov(
                 failures.append(Violation("petrov_hamiltonian", tuple(x), h_marg, p=tuple(q / mu_r)))
         n_checked += 1
 
-    mrf = CandidateMrf(
-        name="petrov_gauge",
-        value=lambda x: float(phi(target.d(x))),
-        p0_bar=p0_bar,
-        limiting_gradients_fn=induced_grads,
-        batch_value=(
-            (lambda Xq: np.asarray(phi(target.d_many(Xq))))
-            if target.batch_distance is not None
-            else None
-        ),
-    )
     return PetrovReport(
-        ok=not failures,
+        ok=not failures and n_checked > 0,
         n_checked=n_checked,
         worst_eq_slack=worst_slack if np.isfinite(worst_slack) else float("nan"),
         worst_h_margin=worst_h if np.isfinite(worst_h) else float("nan"),
@@ -904,6 +847,5 @@ def check_weak_petrov(
         tail=tail,
         increments=increments,
         ratios=ratios,
-        mrf=mrf,
         failures=failures,
     )

@@ -2,9 +2,10 @@
 
 Each builder returns an ExampleSpec bundling the dynamics, the target
 and (where one is known in closed form) the candidate.  Builders accept
-keyword parameters so configs can override the defaults; every example
-registers batch evaluators because the verification sweeps touch
-hundreds of thousands of grid points.
+keyword parameters so configs can override the defaults.  Everything is
+evaluated on (N, dim) blocks, because the verification sweeps touch
+hundreds of thousands of grid points; only f, l and U also come in a
+one-point form, for the synthesis integrator.
 """
 
 from __future__ import annotations
@@ -35,6 +36,32 @@ class ExampleSpec:
 # 1-d minimum time: x' = a, cost 1, target the origin
 
 
+def _origin_target() -> TargetSet:
+    return TargetSet(
+        name="origin",
+        batch_distance=lambda X: np.abs(X[:, 0]),
+        distance_gradients=lambda x: [np.array([np.sign(x[0])])] if x[0] != 0 else [],
+    )
+
+
+def _two_sided_pieces(u_of_rho: Callable, grad_mag: Callable) -> tuple:
+    """The pieces x > 0 and x < 0 of U(x) = u_of_rho(|x|), where |U'| = grad_mag(|x|)."""
+    return (
+        SmoothPiece(
+            name="right",
+            batch_value=lambda X: u_of_rho(np.abs(X[:, 0])),
+            batch_gradient=lambda X: grad_mag(np.abs(X[:, 0]))[:, None],
+            batch_region=lambda X: X[:, 0] > 0,
+        ),
+        SmoothPiece(
+            name="left",
+            batch_value=lambda X: u_of_rho(np.abs(X[:, 0])),
+            batch_gradient=lambda X: -grad_mag(np.abs(X[:, 0]))[:, None],
+            batch_region=lambda X: X[:, 0] < 0,
+        ),
+    )
+
+
 def minimum_time_1d(p0_bar: float = 0.9) -> ExampleSpec:
     """Double integrator-free toy: unit speed on the line, cost = time."""
 
@@ -47,44 +74,18 @@ def minimum_time_1d(p0_bar: float = 0.9) -> ExampleSpec:
         batch_dynamics=lambda X, a: np.full((len(X), 1), a[0]),
         batch_lagrangian=lambda X, a: np.ones(len(X)),
     )
-    target = TargetSet(
-        name="origin",
-        distance=lambda x: abs(float(x[0])),
-        distance_gradients=lambda x: [np.array([np.sign(x[0])])] if x[0] != 0 else [],
-        batch_distance=lambda X: np.abs(X[:, 0]),
-    )
-    pieces = (
-        SmoothPiece(
-            name="right",
-            value=lambda x: float(x[0]),
-            gradient=lambda x: np.array([1.0]),
-            region=lambda x: x[0] > 0,
-            batch_value=lambda X: X[:, 0],
-            batch_gradient=lambda X: np.ones((len(X), 1)),
-            batch_region=lambda X: X[:, 0] > 0,
-        ),
-        SmoothPiece(
-            name="left",
-            value=lambda x: -float(x[0]),
-            gradient=lambda x: np.array([-1.0]),
-            region=lambda x: x[0] < 0,
-            batch_value=lambda X: -X[:, 0],
-            batch_gradient=lambda X: -np.ones((len(X), 1)),
-            batch_region=lambda X: X[:, 0] < 0,
-        ),
-    )
     mrf = CandidateMrf(
         name="abs_x",
         value=lambda x: abs(float(x[0])),
-        p0_bar=p0_bar,
-        smooth_pieces=pieces,
         batch_value=lambda X: np.abs(X[:, 0]),
+        p0_bar=p0_bar,
+        smooth_pieces=_two_sided_pieces(lambda rho: rho, np.ones_like),
     )
     return ExampleSpec(
         name="minimum_time_1d",
         params={"p0_bar": p0_bar},
         system=system,
-        target=target,
+        target=_origin_target(),
         mrf=mrf,
         facts={"analytic_value": lambda x: abs(float(x[0]))},
     )
@@ -140,12 +141,6 @@ def power_law(
         batch_dynamics=f_batch,
         batch_lagrangian=l_batch,
     )
-    target = TargetSet(
-        name="origin",
-        distance=lambda x: abs(float(x[0])),
-        distance_gradients=lambda x: [np.array([np.sign(x[0])])] if x[0] != 0 else [],
-        batch_distance=lambda X: np.abs(X[:, 0]),
-    )
 
     # antiderivative of (m2/m1)*rho^(s-r) with value 0 pinned at the target
     if e != 0.0:
@@ -167,32 +162,12 @@ def power_law(
         with np.errstate(divide="ignore"):
             return (m2 / m1) * rho ** (s - r)
 
-    pieces = (
-        SmoothPiece(
-            name="right",
-            value=lambda x: float(u_of_rho(np.abs(x[0]))),
-            gradient=lambda x: np.array([grad_mag(abs(x[0]))]),
-            region=lambda x: x[0] > 0,
-            batch_value=lambda X: u_of_rho(np.abs(X[:, 0])),
-            batch_gradient=lambda X: grad_mag(np.abs(X[:, 0]))[:, None],
-            batch_region=lambda X: X[:, 0] > 0,
-        ),
-        SmoothPiece(
-            name="left",
-            value=lambda x: float(u_of_rho(np.abs(x[0]))),
-            gradient=lambda x: np.array([-grad_mag(abs(x[0]))]),
-            region=lambda x: x[0] < 0,
-            batch_value=lambda X: u_of_rho(np.abs(X[:, 0])),
-            batch_gradient=lambda X: -grad_mag(np.abs(X[:, 0]))[:, None],
-            batch_region=lambda X: X[:, 0] < 0,
-        ),
-    )
     mrf = CandidateMrf(
         name=f"power_antiderivative_e={e:g}",
         value=lambda x: float(u_of_rho(np.abs(x[0]))),
-        p0_bar=p0_bar,
-        smooth_pieces=pieces,
         batch_value=lambda X: u_of_rho(np.abs(X[:, 0])),
+        p0_bar=p0_bar,
+        smooth_pieces=_two_sided_pieces(u_of_rho, grad_mag),
     )
 
     facts: dict = {"exponent": e}
@@ -203,7 +178,7 @@ def power_law(
         name="power_law",
         params={"r": r, "s": s, "m1": m1, "m2": m2, "p0_bar": p0_bar},
         system=system,
-        target=target,
+        target=_origin_target(),
         mrf=mrf,
         facts=facts,
     )
@@ -258,10 +233,6 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         batch_lagrangian=lambda Z, a: k_const * cost_shape(np.hypot(Z[:, 0], Z[:, 1])),
     )
 
-    def d_point(z):
-        rho = float(np.hypot(z[0], z[1]))
-        return max(0.0, min(rho - 1.0, 4.0 - rho))
-
     def d_batch(Z):
         rho = np.hypot(Z[:, 0], Z[:, 1])
         return np.maximum(0.0, np.minimum(rho - 1.0, 4.0 - rho))
@@ -277,9 +248,8 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
 
     target = TargetSet(
         name="disc_and_outside",
-        distance=d_point,
-        distance_gradients=d_grads,
         batch_distance=d_batch,
+        distance_gradients=d_grads,
     )
 
     eps = float(epsilon)
@@ -308,11 +278,6 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
     pieces = (
         SmoothPiece(
             name="inner",
-            value=lambda z: float(u_inner(np.hypot(z[0], z[1]))),
-            gradient=lambda z: (lambda rho: (rho - 1.0) ** 2 / rho * np.asarray(z, dtype=float))(
-                float(np.hypot(z[0], z[1]))
-            ),
-            region=lambda z: 1.0 - gtol <= np.hypot(z[0], z[1]) <= 2.0 + gtol,
             batch_value=lambda Z: u_inner(np.hypot(Z[:, 0], Z[:, 1])),
             batch_gradient=lambda Z: _radial(Z, lambda rho: (rho - 1.0) ** 2),
             batch_region=lambda Z: (np.hypot(Z[:, 0], Z[:, 1]) >= 1.0 - gtol)
@@ -320,11 +285,6 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         ),
         SmoothPiece(
             name="middle",
-            value=lambda z: float(u_middle(np.hypot(z[0], z[1]))),
-            gradient=lambda z: (
-                lambda rho: (-eps - (3.0 - rho) ** 2) / rho * np.asarray(z, dtype=float)
-            )(float(np.hypot(z[0], z[1]))),
-            region=lambda z: 2.0 - gtol <= np.hypot(z[0], z[1]) <= 3.0 + gtol,
             batch_value=lambda Z: u_middle(np.hypot(Z[:, 0], Z[:, 1])),
             batch_gradient=lambda Z: _radial(Z, lambda rho: -eps - (3.0 - rho) ** 2),
             batch_region=lambda Z: (np.hypot(Z[:, 0], Z[:, 1]) >= 2.0 - gtol)
@@ -332,11 +292,6 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         ),
         SmoothPiece(
             name="outer",
-            value=lambda z: float(u_outer(np.hypot(z[0], z[1]))),
-            gradient=lambda z: (lambda rho: -eps / rho * np.asarray(z, dtype=float))(
-                float(np.hypot(z[0], z[1]))
-            ),
-            region=lambda z: 3.0 - gtol <= np.hypot(z[0], z[1]) <= 4.0 + gtol,
             batch_value=lambda Z: u_outer(np.hypot(Z[:, 0], Z[:, 1])),
             batch_gradient=lambda Z: _radial(Z, lambda rho: -eps + 0.0 * rho),
             batch_region=lambda Z: (np.hypot(Z[:, 0], Z[:, 1]) >= 3.0 - gtol)
@@ -346,9 +301,9 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
     mrf = CandidateMrf(
         name=f"spiral_cubic_eps={eps:g}",
         value=lambda z: float(u_batch(np.asarray(z, dtype=float)[None, :])[0]),
+        batch_value=u_batch,
         p0_bar=p0_bar,
         smooth_pieces=pieces,
-        batch_value=u_batch,
     )
     return ExampleSpec(
         name="spiral",
@@ -395,9 +350,15 @@ def _spiral_oracle_pin(k_const: float):
 
 
 _MU_PROFILES: dict = {
-    "sqrt": lambda r: float(min(np.sqrt(max(r, 0.0)), 1.0)),
-    "linear": lambda r: float(min(max(r, 0.0), 1.0)),
-    "constant": lambda r: 1.0,
+    "sqrt": lambda r: np.minimum(np.sqrt(np.maximum(r, 0.0)), 1.0),
+    "linear": lambda r: np.clip(r, 0.0, 1.0),
+    "constant": lambda r: np.ones_like(r, dtype=float),
+}
+
+# closed-form gauges phi(r) = integral of 1/mu over [0, r], where finite
+_GAUGES: dict = {
+    "sqrt": lambda r: np.where(r <= 1.0, 2.0 * np.sqrt(r), 2.0 + (r - 1.0)),
+    "constant": lambda r: r,
 }
 
 
@@ -406,7 +367,9 @@ def petrov_demo(profile: str = "sqrt", delta: float = 1.0, p0_bar: float = 0.5) 
 
     The 'sqrt' profile has an integrable reciprocal and yields the gauge
     2*sqrt(r); 'constant' is the classical case (gauge r); 'linear' has
-    a log-divergent gauge and exists to exercise the failure path.
+    a log-divergent gauge and exists to exercise the failure path.  The
+    candidate is the gauge of the distance, phi(|x|), whose gradient is
+    sign(x) / mu(|x|).
     """
     if profile not in _MU_PROFILES:
         raise ConfigError(f"unknown mu profile {profile!r}; choose from {sorted(_MU_PROFILES)}")
@@ -415,21 +378,14 @@ def petrov_demo(profile: str = "sqrt", delta: float = 1.0, p0_bar: float = 0.5) 
     base = minimum_time_1d(p0_bar=p0_bar)
 
     mrf: Optional[CandidateMrf] = None
-    phi_closed: Optional[Callable[[float], float]] = None
-    if profile == "sqrt":
-        phi_closed = lambda r: 2.0 * np.sqrt(r) if r <= 1.0 else 2.0 + (r - 1.0)
-    elif profile == "constant":
-        phi_closed = lambda r: float(r)
-    if phi_closed is not None:
-        grad_mag = lambda rho: 1.0 / mu(rho)
+    gauge = _GAUGES.get(profile)
+    if gauge is not None:
         mrf = CandidateMrf(
             name=f"petrov_gauge_{profile}",
-            value=lambda x: float(phi_closed(abs(float(x[0])))),
+            value=lambda x: float(gauge(abs(float(x[0])))),
+            batch_value=lambda X: gauge(np.abs(X[:, 0])),
             p0_bar=p0_bar,
-            limiting_gradients_fn=lambda x: (
-                [np.array([np.sign(x[0]) * grad_mag(abs(float(x[0])))])] if x[0] != 0 else []
-            ),
-            batch_value=lambda X: np.array([phi_closed(v) for v in np.abs(X[:, 0])]),
+            smooth_pieces=_two_sided_pieces(gauge, lambda rho: 1.0 / mu(rho)),
         )
 
     return ExampleSpec(
@@ -438,7 +394,7 @@ def petrov_demo(profile: str = "sqrt", delta: float = 1.0, p0_bar: float = 0.5) 
         system=base.system,
         target=base.target,
         mrf=mrf,
-        facts={"mu": mu, "delta": delta, "profile": profile, "phi_closed": phi_closed},
+        facts={"mu": mu, "delta": delta, "profile": profile},
     )
 
 

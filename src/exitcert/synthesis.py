@@ -364,7 +364,7 @@ def integrate_leg(
                 trial *= 0.5
                 continue
             ds = trial * np.arange(n_sub + 1) / n_sub
-            u_path = np.array([mrf.u(z) for z in path])
+            u_path = mrf.u_batch(path)
             slack = 1e-13 * (1.0 + trial)
             if not np.all(u_path - u_anchor <= -ds / eps1 + slack):
                 trial *= 0.5
@@ -373,7 +373,7 @@ def integrate_leg(
                 trial *= 0.5
                 continue
 
-            d_path = np.array([target.d(z) for z in path])
+            d_path = target.d_many(path)
             hit = np.where(d_path[1:] < config.d_tol)[0]
             hit_i = int(hit[0]) + 1 if hit.size else None
             crossed = np.where(u_path[1:] <= mu_hat + level_tol)[0]
@@ -398,7 +398,7 @@ def integrate_leg(
                     u_at, float(ds[cross_i - 1]), float(ds[cross_i]), ftol=level_tol
                 )
                 path = _rk4_path(F, state, length, n_sub)
-                u_path = np.array([mrf.u(z) for z in path])
+                u_path = mrf.u_batch(path)
                 ds = length * np.arange(n_sub + 1) / n_sub
                 slack = 1e-13 * (1.0 + length)
                 if not np.all(u_path - u_anchor <= -ds / eps1 + slack):
@@ -406,7 +406,7 @@ def integrate_leg(
                     # keep halving from below the crossing bracket
                     trial = 0.5 * length
                     continue
-                d_path = np.array([target.d(z) for z in path])
+                d_path = target.d_many(path)
                 status = TrajectoryStatus.REACHED_LEVEL
                 break
 
@@ -933,7 +933,7 @@ class KLBound:
             r_lattice = np.linspace(0.0, r_top, n_lattice)
         if t_lattice is None:
             t_lattice = np.concatenate(([0.0], np.logspace(0.0, 18.0, n_lattice - 1)))
-        rows = np.array([[self.beta(r, t) for t in t_lattice] for r in r_lattice])
+        rows = self.beta(np.asarray(r_lattice)[:, None], np.asarray(t_lattice)[None, :])
 
         zero_r = bool(np.all(np.abs(rows[0]) <= 1e-15)) if r_lattice[0] == 0 else True
         inc_r = bool(np.all(np.diff(rows, axis=0) > 0))
@@ -1008,7 +1008,7 @@ def verify_kl(
         return KLReport(passed=True, worst_slack=float("-inf"), worst_time=0.0, n_nodes=0, tol=tol)
     if d0 is None:
         d0 = float(trajectory.d[0])
-    bounds = np.array([kl.beta(d0, t) for t in trajectory.t])
+    bounds = kl.beta(d0, trajectory.t)
     slack = trajectory.d - bounds
     i = int(np.argmax(slack))
     return KLReport(

@@ -65,10 +65,11 @@ class NegativeLagrangian(ValueError):
 class ControlSystem:
     """Dynamics x' = f(x, a), running cost l(x, a), finite control set.
 
-    ``dynamics`` and ``lagrangian`` take (state, control value).  The
-    optional batch evaluators take an (N, dim) state block and one
-    control value and return (N, dim) / (N,); they exist so that grid
-    sweeps do not pay a Python call per point.
+    ``batch_dynamics`` and ``batch_lagrangian`` take an (N, dim) state
+    block and one control value and return (N, dim) / (N,); every grid
+    sweep uses them.  ``dynamics`` and ``lagrangian`` take one state and
+    one control value; they serve synthesis, whose integrator evaluates
+    one point at a time.
     """
 
     name: str
@@ -76,8 +77,8 @@ class ControlSystem:
     dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lagrangian: Callable[[np.ndarray, np.ndarray], float]
     control_set: tuple
-    batch_dynamics: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    batch_lagrangian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    batch_dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    batch_lagrangian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if self.state_dim < 1:
@@ -157,31 +158,23 @@ def hamiltonian_argmin(system: ControlSystem, x: np.ndarray, p0: float, p: np.nd
 class TargetSet:
     """Closed target described through its Euclidean distance function.
 
-    ``distance`` must be 1-Lipschitz (it is a metric distance).  The
-    optional ``distance_gradients`` returns the list of limiting
-    gradients of d at a point outside the target; where d is smooth the
-    list is a singleton.
+    ``batch_distance`` maps an (N, dim) block to the (N,) distances and
+    must be 1-Lipschitz (it is a metric distance).  The optional
+    ``distance_gradients`` returns the list of limiting gradients of d
+    at a point outside the target; where d is smooth the list is a
+    singleton.
     """
 
     name: str
-    distance: Callable[[np.ndarray], float]
+    batch_distance: Callable[[np.ndarray], np.ndarray]
     distance_gradients: Optional[Callable[[np.ndarray], list]] = None
-    batch_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def d(self, x: np.ndarray) -> float:
-        val = float(self.distance(np.asarray(x, dtype=float)))
-        if not np.isfinite(val) or val < 0:
-            raise ConfigError(f"distance evaluated to {val} at x={np.asarray(x).tolist()}")
-        return val
+        return float(self.d_many(np.asarray(x, dtype=float)[None])[0])
 
     def d_many(self, X: np.ndarray) -> np.ndarray:
-        """d at every row of X, through batch_distance when it is given.
-
-        Raises like d on a non-finite or negative distance.
-        """
+        """d at every row of X; raises ConfigError on a non-finite or negative value."""
         X = np.asarray(X, dtype=float)
-        if self.batch_distance is None:
-            return np.array([self.d(x) for x in X], dtype=float)
         D = np.asarray(self.batch_distance(X), dtype=float)
         bad = ~np.isfinite(D) | (D < 0)
         if np.any(bad):
@@ -200,11 +193,9 @@ def check_distance_lipschitz(target: TargetSet, points: np.ndarray, tol: float =
     was found, and a ConfigError is raised instead).
     """
     pts = np.asarray(points, dtype=float)
-    worst = -np.inf
-    for i in range(len(pts) - 1):
-        dx = float(np.linalg.norm(pts[i + 1] - pts[i]))
-        dd = abs(target.d(pts[i + 1]) - target.d(pts[i]))
-        worst = max(worst, dd - dx)
+    D = target.d_many(pts)
+    slack = np.abs(np.diff(D)) - np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    worst = float(np.max(slack, initial=-np.inf))
     if worst > tol:
         raise ConfigError(f"distance is not 1-Lipschitz on samples (slack {worst})")
     return worst

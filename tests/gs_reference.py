@@ -46,7 +46,7 @@ def initial_table(target, grid, target_radius=None, pin=None):
     if target_radius is None:
         target_radius = grid.spacing / 2.0
     X = grid.points()
-    fixed = np.array([target.d(x) <= target_radius for x in X], dtype=np.uint8)
+    fixed = (target.d_many(X) <= target_radius).astype(np.uint8)
     values = np.where(fixed.astype(bool), 0.0, BIG)
     if pin is not None:
         mask, value = pin

@@ -1,6 +1,7 @@
 """Band certification, decrease moduli and the auxiliary checks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from exitcert.certificates import (
     verify_mrf_band,
 )
 from exitcert.library import _MU_PROFILES, petrov_demo, power_law, spiral
-from exitcert.systems import ConfigError
+from exitcert.systems import ConfigError, NegativeLagrangian
 
 
 # ----------------------------------------------------------------------
@@ -35,6 +36,25 @@ def test_gridspec_validation():
         GridSpec(np.array([1.0]), np.array([0.0]), 0.1)
     with pytest.raises(ConfigError):
         GridSpec(np.array([0.0]), np.array([1.0]), 0.0)
+
+
+# ----------------------------------------------------------------------
+# piece activity
+
+
+def test_active_masks_need_region_and_value_agreement(mt):
+    mrf = mt.ex.mrf  # pieces right (x > 0) and left (x < 0) of |x|
+    X = np.array([[-1.0], [0.0], [1.0]])
+    right, left = mrf.active_masks(X, np.abs(X[:, 0]))
+    assert right.tolist() == [False, False, True]
+    assert left.tolist() == [True, False, False]
+    # a value off by more than act_tol, or a NaN piece value, is inactive
+    assert not np.any(mrf.active_masks(X, np.abs(X[:, 0]) + 1e-6))
+    nan_right = replace(mrf.smooth_pieces[0], batch_value=lambda X: np.full(len(X), np.nan))
+    nan_mrf = replace(mrf, smooth_pieces=(nan_right,))
+    assert not np.any(nan_mrf.active_masks(X, np.abs(X[:, 0])))
+    assert [p.name for p in mrf.active_pieces(np.array([1.0]))] == ["right"]
+    np.testing.assert_array_equal(mrf.limiting_gradients(np.array([-1.0])), [[-1.0]])
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +154,18 @@ def test_band_rejects_bad_interval(mt):
         verify_mrf_band(mt.ex.system, mt.ex.target, mt.ex.mrf, 1.5, 0.05, mt.grid)
 
 
+def test_negative_cost_names_its_control(mt):
+    # the cost is negative only for control index 1 (a = +1)
+    neg = replace(
+        mt.ex.system,
+        batch_lagrangian=lambda X, a: np.full(len(X), -1.0 if a[0] > 0 else 1.0),
+    )
+    with pytest.raises(NegativeLagrangian) as exc:
+        verify_mrf_band(neg, mt.ex.target, mt.ex.mrf, 0.05, 1.5, mt.grid)
+    assert exc.value.a_index == 1
+    assert exc.value.value == -1.0
+
+
 def test_uncertified_band_when_margin_too_demanding(mt):
     cert = verify_mrf_band(
         mt.ex.system, mt.ex.target, mt.ex.mrf, 0.05, 1.5, mt.grid, margin=0.5
@@ -155,6 +187,12 @@ def test_supersolution_holds_with_certified_modulus(mt):
     assert rep.passed
     assert rep.n_checked > 0
     assert rep.worst_margin < 0
+    # U <= 2 on the grid, so this band holds no point: nothing is certified
+    empty = check_supersolution(
+        mt.ex.system, mt.ex.mrf, mt.modulus, pts, band=(2.5, 3.0), target=mt.ex.target,
+    )
+    assert empty.n_checked == 0
+    assert not empty.passed
 
 
 def test_supersolution_fails_with_inflated_modulus(mt):
@@ -188,6 +226,12 @@ def test_petrov_sqrt_profile_builds_the_root_gauge():
     # the gauge integrates 1/sqrt to 2*sqrt
     for r in (0.01, 0.1, 0.5, 1.0):
         assert rep.phi(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-3)
+    # no sample strictly between the target and delta: nothing is checked
+    empty = check_weak_petrov(
+        ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, np.array([[0.0], [1.2]])
+    )
+    assert empty.n_checked == 0
+    assert not empty.ok
 
 
 def test_petrov_constant_profile_gauge_is_identity():
@@ -219,5 +263,4 @@ def test_petrov_induced_candidate_certifies():
     # the induced candidate has H margin -(1 - p0_bar) by construction
     assert rep.worst_h_margin <= 1e-9
     # 0.25 falls between gauge knots, so allow the interpolation sag
-    x = np.array([0.25])
-    assert rep.mrf.u(x) == pytest.approx(2.0 * np.sqrt(0.25), rel=1e-2)
+    assert rep.phi(0.25) == pytest.approx(2.0 * np.sqrt(0.25), rel=1e-2)

@@ -60,6 +60,17 @@ synthesis:
   initial_states: [[0.5]]
 """
 
+# the gauge 2*sqrt(|x|) of the sqrt decrease profile, as a candidate
+PETROV_CFG = """\
+system:
+  name: petrov_demo
+  params: {profile: sqrt}
+verify:
+  delta: 0.05
+  sigma: 1.5
+  grid: {lower: [-2.0], upper: [2.0], spacing: 0.01}
+"""
+
 NOCONV_CFG = """\
 system:
   name: minimum_time_1d
@@ -109,6 +120,18 @@ def test_verify_report_contents(tmp_path, mt_cfg):
     assert rep["supersolution"]["passed"] is True
     assert rep["modulus"]["knot_levels"][0] == 0.0
     assert rep["rejection"] is None
+
+
+def test_petrov_candidate_supersolution_checks_points(tmp_path):
+    cfg = _write(tmp_path, PETROV_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "-c", cfg, "-o", str(out)]) == 0
+    rep = json.loads((out / "verify_report.json").read_text())
+    supers = rep["supersolution"]
+    assert supers["passed"] is True
+    assert supers["n_checked"] > 0
+    assert supers["n_checked"] == rep["certificate"]["n_band"]
+    assert supers["worst_margin"] < 0
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, mt_cfg):

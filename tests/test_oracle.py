@@ -96,8 +96,10 @@ def test_mode_and_dimension_guards():
         dynamics=lambda x, a: np.zeros(4),
         lagrangian=lambda x, a: 1.0,
         control_set=(np.zeros(4),),
+        batch_dynamics=lambda X, a: np.zeros_like(X),
+        batch_lagrangian=lambda X, a: np.ones(len(X)),
     )
-    t4 = TargetSet(name="origin", distance=lambda x: float(np.linalg.norm(x)))
+    t4 = TargetSet(name="origin", batch_distance=lambda X: np.linalg.norm(X, axis=1))
     g4 = GridSpec(np.zeros(4), np.ones(4), 1.0)
     with pytest.raises(ConfigError):
         hjb_value_iteration(sys4, t4, g4, 0.1)
@@ -105,7 +107,7 @@ def test_mode_and_dimension_guards():
 
 def test_no_target_node_is_an_error(mt_table):
     ex, _ = mt_table
-    far = TargetSet(name="far", distance=lambda x: abs(float(x[0]) - 10.0))
+    far = TargetSet(name="far", batch_distance=lambda X: np.abs(X[:, 0] - 10.0))
     with pytest.raises(ConfigError, match="target_radius"):
         hjb_value_iteration(ex.system, far, GRID_1D, 0.01)
 
@@ -141,6 +143,10 @@ def test_bound_holds_on_minimum_time(mt_table):
     assert rep["n_skipped"] == 1  # the origin is a target node
     # tightest point is next to the target: V=h while U/p0 = h/0.9
     assert rep["worst_gap"] == pytest.approx(0.01 - 0.01 / 0.9 - 0.04, abs=1e-9)
+    # a comparison that checks no node certifies nothing
+    none = compare_bound(table, ex.mrf, target=ex.target, include=np.zeros(401, dtype=bool))
+    assert none["n_checked"] == 0
+    assert not none["passed"]
 
 
 def test_bound_comparison_must_skip_target_nodes(ring_table):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exitcert.certificates import _batch_h_for_gradients
 from exitcert.synthesis import verify_kl
 from exitcert.systems import (
     ControlSystem,
@@ -160,6 +161,8 @@ SHEAR = ControlSystem(
     control_set=tuple(
         np.array(v, dtype=float) for v in [(-1, 0), (1, 0), (0, -1), (0, 1), (0, 0)]
     ),
+    batch_dynamics=lambda X, a: np.stack([X[:, 1] + a[0], -X[:, 0] + a[1]], axis=1),
+    batch_lagrangian=lambda X, a: np.full(len(X), 1.0 + 0.5 * float(np.dot(a, a))),
 )
 
 
@@ -187,3 +190,17 @@ def test_argmin_agrees_with_exhaustive_scan(data):
     k = hamiltonian_argmin(SHEAR, x, p0, p)
     assert vals[k] == pytest.approx(min(vals))
     assert k == int(np.argmin(vals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_hamiltonian_agrees_with_point_hamiltonian(data):
+    """The block evaluators describe the same system as the point evaluators."""
+    n = data.draw(st.integers(1, 6))
+    row = st.lists(st.floats(-3, 3), min_size=2, max_size=2)
+    X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    P = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    p0 = data.draw(st.floats(0.0, 2.0))
+    H = _batch_h_for_gradients(SHEAR, X, P, p0)
+    for i in range(n):
+        assert H[i] == pytest.approx(hamiltonian(SHEAR, X[i], p0, P[i]), rel=1e-12, abs=1e-12)

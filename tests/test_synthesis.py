@@ -215,10 +215,7 @@ def test_truncation_when_levels_run_out(mt):
 def _sandwich(ns, kl_ns):
     X = ns.grid.points()
     U = ns.ex.mrf.u_batch(X)
-    if ns.ex.target.batch_distance is not None:
-        D = np.asarray(ns.ex.target.batch_distance(X), dtype=float)
-    else:
-        D = np.array([ns.ex.target.d(x) for x in X])
+    D = ns.ex.target.d_many(X)
     sel = np.isfinite(U) & (U >= 0.0) & (U <= ns.sigma)
     off = D > 1e-12
     sm, sp = kl_ns.sigma_minus, kl_ns.sigma_plus

@@ -76,6 +76,8 @@ def test_argmin_matches_brute_scan_on_random_affine_systems(data):
         dynamics=lambda x, a: a + 0.5 * x,
         lagrangian=lambda x, a: 1.0 + float(np.dot(a, a)),
         control_set=controls,
+        batch_dynamics=lambda X, a: a + 0.5 * X,
+        batch_lagrangian=lambda X, a: np.full(len(X), 1.0 + float(np.dot(a, a))),
     )
     x = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
     p = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
@@ -96,6 +98,8 @@ def test_argmin_tie_goes_to_lowest_index():
         dynamics=lambda x, a: np.array([0.0]),
         lagrangian=lambda x, a: 1.0,
         control_set=(np.array([-1.0]), np.array([1.0])),
+        batch_dynamics=lambda X, a: np.zeros((len(X), 1)),
+        batch_lagrangian=lambda X, a: np.ones(len(X)),
     )
     assert hamiltonian_argmin(tied, np.array([0.0]), 1.0, np.array([1.0])) == 0
 
@@ -125,6 +129,8 @@ def test_eval_guards():
         dynamics=lambda x, a: np.array([np.inf]),
         lagrangian=lambda x, a: -1.0,
         control_set=(np.array([0.0]),),
+        batch_dynamics=lambda X, a: np.full((len(X), 1), np.inf),
+        batch_lagrangian=lambda X, a: -np.ones(len(X)),
     )
     with pytest.raises(SingularDynamics):
         eval_dynamics(bad, np.array([0.0]), 0)
@@ -136,20 +142,20 @@ def test_eval_guards():
 
 
 def test_target_distance_validation():
-    t = TargetSet(name="neg", distance=lambda x: -1.0)
+    t = TargetSet(name="neg", batch_distance=lambda X: -np.ones(len(X)))
     with pytest.raises(ConfigError):
         t.d(np.array([0.0]))
-    t2 = TargetSet(name="nan", distance=lambda x: float("nan"))
+    t2 = TargetSet(name="nan", batch_distance=lambda X: np.full(len(X), np.nan))
     with pytest.raises(ConfigError):
         t2.d(np.array([0.0]))
-    # the batch path checks its values the same way d does
+    # d is the one-row block, so d and d_many check values in one place
     X = np.array([[0.0], [1.0]])
     for bad in (-1.0, np.nan, np.inf):
-        t3 = TargetSet(name="batch", distance=lambda x: abs(float(x[0])),
-                       batch_distance=lambda X, bad=bad: np.array([0.0, bad]))
+        t3 = TargetSet(name="batch", batch_distance=lambda X, bad=bad: np.array([0.0, bad]))
         with pytest.raises(ConfigError, match=r"at x=\[1\.0\]"):
             t3.d_many(X)
     np.testing.assert_array_equal(MT.target.d_many(X), [0.0, 1.0])
+    assert MT.target.d(np.array([-0.5])) == 0.5
 
 
 def test_target_contains():
@@ -166,7 +172,7 @@ def test_distance_lipschitz_on_abs():
 
 
 def test_distance_lipschitz_rejects_steep_function():
-    steep = TargetSet(name="steep", distance=lambda x: 10.0 * abs(float(x[0])))
+    steep = TargetSet(name="steep", batch_distance=lambda X: 10.0 * np.abs(X[:, 0]))
     pts = np.linspace(0.1, 1.0, 10)[:, None]
     with pytest.raises(ConfigError):
         check_distance_lipschitz(steep, pts)
