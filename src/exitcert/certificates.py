@@ -202,7 +202,7 @@ class DecreaseModulus:
 
     def __call__(self, u):
         val = self.pl(u)
-        if np.isscalar(val):
+        if isinstance(val, float):
             return max(val, 0.0)
         return np.maximum(val, 0.0)
 

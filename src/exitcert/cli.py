@@ -98,21 +98,16 @@ def _write_json(path: Path, payload: dict) -> None:
     log.info("wrote %s (%d bytes)", path, len(text))
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def write_trajectory_csv(path: Path, traj) -> None:
     """One node per row: t, s, coordinates, control index, U, d, cost."""
     dim = traj.states.shape[1]
     header = ["t", "s"] + [f"x{i + 1}" for i in range(dim)] + ["control_index", "U", "d", "cost"]
     lines = [",".join(header)]
-    for i in range(traj.n_nodes):
-        row = [_fmt(traj.t[i]), _fmt(traj.s[i])]
-        row.extend(_fmt(v) for v in traj.states[i])
-        row.append(str(int(traj.a_index[i])))
-        row.extend((_fmt(traj.u[i]), _fmt(traj.d[i]), _fmt(traj.cost[i])))
-        lines.append(",".join(row))
+    floats = np.column_stack([traj.t, traj.s, traj.states, traj.u, traj.d, traj.cost]).tolist()
+    for row, a in zip(floats, traj.a_index.tolist()):
+        head = ",".join(map(repr, row[: 2 + dim]))
+        tail = ",".join(map(repr, row[2 + dim :]))
+        lines.append(f"{head},{a},{tail}")
     path.write_text("\n".join(lines) + "\n")
     log.info("wrote %s (%d nodes)", path, traj.n_nodes)
 
@@ -123,10 +118,7 @@ def write_value_table_csv(path: Path, table) -> None:
     dim = X.shape[1]
     header = [f"x{i + 1}" for i in range(dim)] + ["value"]
     lines = [",".join(header)]
-    for i in range(X.shape[0]):
-        row = [_fmt(v) for v in X[i]]
-        row.append(_fmt(table.values[i]))
-        lines.append(",".join(row))
+    lines.extend(",".join(map(repr, row)) for row in np.column_stack([X, table.values]).tolist())
     path.write_text("\n".join(lines) + "\n")
     log.info("wrote %s (%d nodes)", path, X.shape[0])
 

@@ -116,17 +116,12 @@ def power_law(
         raise ConfigError("m2 must be positive")
     e = s - r + 1.0
 
-    def f_point(x, a):
-        with np.errstate(divide="ignore"):
-            return np.array([a[0] * m1 * abs(x[0]) ** r])
-
+    # The point forms are the block forms on one row: numpy's array power
+    # and the C library's pow on a float may round differently, and the two
+    # forms must agree to the bit.
     def f_batch(X, a):
         with np.errstate(divide="ignore"):
             return (a[0] * m1 * np.abs(X[:, 0]) ** r)[:, None]
-
-    def l_point(x, a):
-        with np.errstate(divide="ignore"):
-            return m2 * abs(x[0]) ** s
 
     def l_batch(X, a):
         with np.errstate(divide="ignore"):
@@ -135,8 +130,8 @@ def power_law(
     system = ControlSystem(
         name="power_law",
         state_dim=1,
-        dynamics=f_point,
-        lagrangian=l_point,
+        dynamics=lambda x, a: f_batch(x[None], a)[0],
+        lagrangian=lambda x, a: float(l_batch(x[None], a)[0]),
         control_set=(np.array([-1.0]), np.array([1.0])),
         batch_dynamics=f_batch,
         batch_lagrangian=l_batch,
@@ -162,10 +157,13 @@ def power_law(
         with np.errstate(divide="ignore"):
             return (m2 / m1) * rho ** (s - r)
 
+    def u_batch(X):
+        return u_of_rho(np.abs(X[:, 0]))
+
     mrf = CandidateMrf(
         name=f"power_antiderivative_e={e:g}",
-        value=lambda x: float(u_of_rho(np.abs(x[0]))),
-        batch_value=lambda X: u_of_rho(np.abs(X[:, 0])),
+        value=lambda x: float(u_batch(x[None])[0]),
+        batch_value=u_batch,
         p0_bar=p0_bar,
         smooth_pieces=_two_sided_pieces(u_of_rho, grad_mag),
     )
@@ -203,18 +201,20 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
     if not 0.0 <= k_const <= 1.0:
         raise ConfigError("k_const must lie in [0, 1]")
 
-    def f_point(z, a):
-        rho = float(np.hypot(z[0], z[1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.array(
-                [z[1] / (rho - 1.0) - a[0] * z[0], -z[0] / (rho - 1.0) - a[0] * z[1]]
-            )
-
     def f_batch(Z, a):
         rho = np.hypot(Z[:, 0], Z[:, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
             rot = np.stack([Z[:, 1], -Z[:, 0]], axis=1) / (rho - 1.0)[:, None]
         return rot - a[0] * Z
+
+    def f_point(z, a):
+        # f_batch's arithmetic on Python floats, off the inner circle
+        z0, z1 = float(z[0]), float(z[1])
+        c = float(np.hypot(z0, z1)) - 1.0
+        if c == 0.0:
+            return f_batch(np.asarray(z, dtype=float)[None], a)[0]
+        a0 = float(a[0])
+        return np.array([z1 / c - a0 * z0, -z0 / c - a0 * z1])
 
     def cost_shape(rho):
         return np.select(
@@ -223,11 +223,19 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
             default=0.0,
         )
 
+    def cost_at(rho: float) -> float:
+        # cost_shape at one radius; numpy squares by multiplying, as here
+        if 1.0 <= rho <= 2.0:
+            return (rho - 1.0) * (rho - 1.0)
+        if 2.0 < rho <= 3.0:
+            return (3.0 - rho) * (3.0 - rho)
+        return 0.0
+
     system = ControlSystem(
         name="spiral",
         state_dim=2,
         dynamics=f_point,
-        lagrangian=lambda z, a: float(k_const * cost_shape(np.hypot(z[0], z[1]))),
+        lagrangian=lambda z, a: k_const * cost_at(float(np.hypot(z[0], z[1]))),
         control_set=(np.array([-1.0]), np.array([1.0])),
         batch_dynamics=f_batch,
         batch_lagrangian=lambda Z, a: k_const * cost_shape(np.hypot(Z[:, 0], Z[:, 1])),
@@ -254,11 +262,14 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
 
     eps = float(epsilon)
 
+    # np.power, not **: on a float, ** calls the C library's pow, which can
+    # round differently from numpy's vectorised pow, and then U at a point
+    # would differ in its last bit from the same point's row of a block
     def u_inner(rho):
-        return 2.0 * eps + (rho - 1.0) ** 3 / 3.0
+        return 2.0 * eps + np.power(rho - 1.0, 3) / 3.0
 
     def u_middle(rho):
-        return eps * (4.0 - rho) + (3.0 - rho) ** 3 / 3.0
+        return eps * (4.0 - rho) + np.power(3.0 - rho, 3) / 3.0
 
     def u_outer(rho):
         return eps * (4.0 - rho)
@@ -268,6 +279,14 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         return np.select(
             [rho < 2.0, rho < 3.0], [u_inner(rho), u_middle(rho)], default=u_outer(rho)
         )
+
+    def u_at(z) -> float:
+        rho = float(np.hypot(z[0], z[1]))
+        if rho < 2.0:
+            return float(u_inner(rho))
+        if rho < 3.0:
+            return float(u_middle(rho))
+        return u_outer(rho)
 
     def _radial(Z, scale):
         # scale(rho) * z / rho, vectorized
@@ -300,7 +319,7 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
     )
     mrf = CandidateMrf(
         name=f"spiral_cubic_eps={eps:g}",
-        value=lambda z: float(u_batch(np.asarray(z, dtype=float)[None, :])[0]),
+        value=u_at,
         batch_value=u_batch,
         p0_bar=p0_bar,
         smooth_pieces=pieces,
@@ -315,7 +334,7 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
             "inner_radius": 1.0,
             "outer_radius": 4.0,
             "ridge_radius": 2.0,
-            "u_ridge": u_inner(2.0),
+            "u_ridge": float(u_inner(2.0)),
             "oracle_pin": _spiral_oracle_pin(k_const),
         },
     )

@@ -9,7 +9,8 @@ columns), so the decay certificate never needs iterative root finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,11 +33,19 @@ class MonotonePL:
 
     * ``"linear"`` - continue with the first/last segment slope,
     * ``"clamp"``  - hold the end values constant.
+
+    A float, numpy scalar or 0-d array is evaluated in plain Python on
+    knot lists cached at construction; the result is bit for bit what
+    the array path returns for that point.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     extrapolate: str = "linear"
+    _xl: list = field(init=False, repr=False, compare=False)
+    _yl: list = field(init=False, repr=False, compare=False)
+    _lo_slope: float = field(init=False, repr=False, compare=False)
+    _hi_slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -60,21 +69,48 @@ class MonotonePL:
             raise ValueError("a segment slope overflows: knot abscissae too close")
         if self.extrapolate not in ("linear", "clamp"):
             raise ValueError(f"unknown extrapolation mode {self.extrapolate!r}")
+        object.__setattr__(self, "_xl", xs.tolist())
+        object.__setattr__(self, "_yl", ys.tolist())
+        object.__setattr__(self, "_lo_slope", float(slopes[0]))
+        object.__setattr__(self, "_hi_slope", float(slopes[-1]))
 
     # ------------------------------------------------------------------
     # evaluation
 
     def __call__(self, r):
+        if isinstance(r, float) or np.ndim(r) == 0:
+            return self._at(float(r))
         r_arr = np.asarray(r, dtype=float)
         out = np.interp(r_arr, self.xs, self.ys)
         if self.extrapolate == "linear":
             xs, ys = self.xs, self.ys
-            lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            out = np.where(r_arr < xs[0], ys[0] + lo_slope * (r_arr - xs[0]), out)
-            out = np.where(r_arr > xs[-1], ys[-1] + hi_slope * (r_arr - xs[-1]), out)
-        if np.isscalar(r) or getattr(r, "ndim", 0) == 0:
-            return float(out)
+            out = np.where(r_arr < xs[0], ys[0] + self._lo_slope * (r_arr - xs[0]), out)
+            out = np.where(r_arr > xs[-1], ys[-1] + self._hi_slope * (r_arr - xs[-1]), out)
+        return out
+
+    def _at(self, r: float) -> float:
+        """One point, with np.interp's arithmetic and the array path's end rule."""
+        xs, ys = self._xl, self._yl
+        if r < xs[0]:
+            if self.extrapolate == "linear":
+                return ys[0] + self._lo_slope * (r - xs[0])
+            return ys[0]
+        if r > xs[-1]:
+            if self.extrapolate == "linear":
+                return ys[-1] + self._hi_slope * (r - xs[-1])
+            return ys[-1]
+        if r != r:
+            return r  # NaN in, NaN out
+        j = bisect_right(xs, r) - 1
+        if r == xs[j]:
+            # an exact knot, the top one included
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        out = slope * (r - xs[j]) + ys[j]
+        if out != out:
+            # 0 * inf on a flat segment wider than the largest float:
+            # np.interp retries from the right end, which is then finite
+            out = slope * (r - xs[j + 1]) + ys[j + 1]
         return out
 
     # ------------------------------------------------------------------

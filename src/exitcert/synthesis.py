@@ -390,14 +390,21 @@ def integrate_leg(
 
             if cross_i is not None:
                 # exit-level crossing: bisect the step length with the same
-                # integration rule so the final path is self-consistent
+                # integration rule so the final path is self-consistent;
+                # the path of the returned length was integrated by the
+                # bisection itself, except after max_iter halvings
+                tried: dict = {}
+
                 def u_at(t: float) -> float:
-                    return mrf.u(_rk4_path(F, state, t, n_sub)[-1]) - mu_hat
+                    tried[t] = _rk4_path(F, state, t, n_sub)
+                    return mrf.u(tried[t][-1]) - mu_hat
 
                 length = bisect_root(
                     u_at, float(ds[cross_i - 1]), float(ds[cross_i]), ftol=level_tol
                 )
-                path = _rk4_path(F, state, length, n_sub)
+                path = tried.get(length)
+                if path is None:
+                    path = _rk4_path(F, state, length, n_sub)
                 u_path = mrf.u_batch(path)
                 ds = length * np.arange(n_sub + 1) / n_sub
                 slack = 1e-13 * (1.0 + length)

@@ -9,6 +9,7 @@ lowest index.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -101,7 +102,8 @@ def eval_dynamics(system: ControlSystem, x: np.ndarray, a_index: int) -> np.ndar
     f = np.asarray(system.dynamics(np.asarray(x, dtype=float), a), dtype=float)
     if f.shape != (system.state_dim,):
         raise ConfigError(f"dynamics returned shape {f.shape}, expected ({system.state_dim},)")
-    if not np.all(np.isfinite(f)):
+    # one state has a handful of entries: math.isfinite on a list beats a ufunc
+    if not all(map(math.isfinite, f.tolist())):
         raise SingularDynamics(x, f"f(x, a[{a_index}])={f.tolist()}")
     return f
 
@@ -109,7 +111,7 @@ def eval_dynamics(system: ControlSystem, x: np.ndarray, a_index: int) -> np.ndar
 def eval_lagrangian(system: ControlSystem, x: np.ndarray, a_index: int) -> float:
     a = system.control(a_index)
     val = float(system.lagrangian(np.asarray(x, dtype=float), a))
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise SingularDynamics(x, f"l(x, a[{a_index}])={val}")
     if val < 0:
         raise NegativeLagrangian(x, a_index, val)

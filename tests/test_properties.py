@@ -14,10 +14,11 @@ timed as a unit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exitcert.certificates import _batch_h_for_gradients
+from exitcert.library import get_example
 from exitcert.synthesis import verify_kl
 from exitcert.systems import (
     ControlSystem,
@@ -192,15 +193,84 @@ def test_argmin_agrees_with_exhaustive_scan(data):
     assert k == int(np.argmin(vals))
 
 
+SPIRAL = get_example("spiral").system
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_block_hamiltonian_agrees_with_point_hamiltonian(data):
     """The block evaluators describe the same system as the point evaluators."""
+    system = data.draw(st.sampled_from([SHEAR, SPIRAL]))
     n = data.draw(st.integers(1, 6))
     row = st.lists(st.floats(-3, 3), min_size=2, max_size=2)
     X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
     P = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
     p0 = data.draw(st.floats(0.0, 2.0))
-    H = _batch_h_for_gradients(SHEAR, X, P, p0)
+    if system is SPIRAL:
+        assume(np.all(np.hypot(X[:, 0], X[:, 1]) != 1.0))  # the drift is singular there
+    H = _batch_h_for_gradients(system, X, P, p0)
     for i in range(n):
-        assert H[i] == pytest.approx(hamiltonian(SHEAR, X[i], p0, P[i]), rel=1e-12, abs=1e-12)
+        assert H[i] == pytest.approx(hamiltonian(system, X[i], p0, P[i]), rel=1e-12, abs=1e-12)
+
+
+# Every example with a candidate, with the parameters of the bundled
+# configs and a few more.  The synthesis integrator evaluates f, l and U
+# one state at a time and the grid work evaluates them on blocks, so the
+# two forms must agree to the bit, not within a tolerance.
+POINT_FORM_EXAMPLES = [
+    pytest.param("minimum_time_1d", {}, id="minimum_time_1d"),
+    pytest.param("power_law", {"r": 0.0, "s": -1.0}, id="power_law-r0-s-1"),
+    pytest.param("power_law", {"r": 0.5, "s": 1.5, "m1": 2.0, "m2": 0.7}, id="power_law-r0.5-s1.5"),
+    pytest.param("power_law", {"r": -0.3, "s": 0.25}, id="power_law-r-0.3-s0.25"),
+    pytest.param("petrov_demo", {"profile": "sqrt"}, id="petrov_demo-sqrt"),
+    pytest.param("spiral", {"epsilon": 0.5}, id="spiral-eps0.5"),
+    pytest.param("spiral", {"epsilon": 0.01, "k_const": 0.6}, id="spiral-eps0.01-k0.6"),
+]
+
+# points on the seams of the spiral's cost and candidate, and one ulp off
+SPIRAL_SEAMS = [
+    pt
+    for radius in (1.0, 2.0, 3.0, 4.0)
+    for r in (np.nextafter(radius, 0.0), radius, np.nextafter(radius, 5.0))
+    for pt in ((r, 0.0), (0.0, -r))
+]
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _assert_point_forms_match_block(ex, X):
+    system, mrf = ex.system, ex.mrf
+    U = mrf.u_batch(X)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a in system.control_set:
+            F = system.batch_dynamics(X, a)
+            L = system.batch_lagrangian(X, a)
+            for i, x in enumerate(X):
+                assert _same_bits(system.dynamics(x, a), F[i]), (x, a)
+                assert _same_bits(system.lagrangian(x, a), L[i]), (x, a)
+        for i, x in enumerate(X):
+            assert _same_bits(mrf.u(x), U[i]), x
+
+
+@pytest.mark.parametrize("name,params", POINT_FORM_EXAMPLES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_point_forms_equal_block_rows_bitwise(name, params, data):
+    ex = get_example(name, **params)
+    dim = ex.system.state_dim
+    row = st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)
+    X = np.array(data.draw(st.lists(row, min_size=1, max_size=8)), dtype=float)
+    _assert_point_forms_match_block(ex, X)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param({"epsilon": 0.5}, id="eps0.5"),
+        pytest.param({"epsilon": 0.01, "k_const": 0.6}, id="eps0.01-k0.6"),
+    ],
+)
+def test_spiral_point_forms_equal_block_rows_on_seams(params):
+    _assert_point_forms_match_block(get_example("spiral", **params), np.array(SPIRAL_SEAMS))

@@ -1,6 +1,7 @@
 """Piecewise-linear monotone tables: interpolation, inversion, min, roots."""
 
 import math
+import struct
 import sys
 
 import numpy as np
@@ -31,6 +32,9 @@ def test_scalar_in_scalar_out():
     assert isinstance(pl(0.3), float)
     out = pl(np.array([0.1, 0.2]))
     assert out.shape == (2,)
+    assert pl([0.1, 0.2]).shape == (2,)
+    assert pl([0.3]).shape == (1,)
+    assert isinstance(pl(1), float)
 
 
 def test_linear_extrapolation_uses_end_slopes():
@@ -66,9 +70,14 @@ def test_inverse_requires_strict_increase():
         flat.inverse()
 
 
+# knot abscissae; the pinned example has a subnormal gap, whose slope overflows
+KNOTS = st.lists(st.floats(-50, 50), min_size=2, max_size=8, unique=True)
+SUBNORMAL_GAP = [0.0, 2.225073858507203e-309]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=2, max_size=8, unique=True))
-@example([0.0, 2.225073858507203e-309])
+@given(KNOTS)
+@example(SUBNORMAL_GAP)
 def test_inverse_roundtrip(xs):
     xs = np.sort(np.asarray(xs))
     # unit y-increments keep the values strictly increasing even when two
@@ -83,6 +92,44 @@ def test_inverse_roundtrip(xs):
     inv = pl.inverse()
     probe = np.linspace(xs[0], xs[-1], 17)
     np.testing.assert_allclose(inv(pl(probe)), probe, atol=1e-9)
+
+
+def _same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    KNOTS,
+    st.lists(st.floats(0, 10), min_size=8, max_size=8),
+    st.sampled_from(["linear", "clamp"]),
+    st.lists(st.floats(-100, 100), max_size=4),
+)
+@example(SUBNORMAL_GAP, [0.5] * 8, "linear", [])
+@example([-1e308, 1e308], [0.0] * 8, "linear", [9e307])  # span wider than the largest float
+@example([-1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 0.0, 0, 0, 0, 0], "clamp", [1.0, 0.5])
+def test_scalar_branch_matches_array_path_bitwise(xs, rises, mode, extra):
+    """A scalar query returns the array path's value to the bit, as a float."""
+    xs = np.sort(np.asarray(xs))
+    ys = -3.0 + np.cumsum(np.asarray(rises[: len(xs)]))  # flat segments included
+    try:
+        with np.errstate(over="ignore"):  # knot spans wider than the largest float
+            pl = MonotonePL(xs, ys, extrapolate=mode)
+    except ValueError as exc:
+        assert "slope overflows" in str(exc)
+        return
+    queries = list(xs) + list(0.5 * (xs[:-1] + xs[1:])) + extra
+    queries += [np.nextafter(x, d) for x in xs for d in (-np.inf, np.inf)]
+    queries += [xs[0] - 1.0, xs[-1] + 1.0, -1e300, 1e300, -np.inf, np.inf, np.nan]
+    for r in queries:
+        with np.errstate(invalid="ignore", over="ignore"):  # queries of +-1e300 and inf
+            want = float(pl(np.array([r]))[0])
+        for form in (float(r), np.float64(r), np.array(r)):
+            got = pl(form)
+            assert type(got) is float, type(form)
+            assert _same_float(got, want), (r, got, want)
 
 
 def test_pwl_min_matches_dense_sampling():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import exitcert.synthesis as synthesis_mod
 from exitcert.certificates import build_decrease_modulus
 from exitcert.library import power_law
 from exitcert.pwl import MonotonePL
@@ -117,6 +118,51 @@ def test_single_leg_reaches_its_level(mt):
     assert leg.u_end == pytest.approx(0.5, abs=1e-6)
     assert leg.s_bar <= (cfg.epsilon + 1.0) * 1.0 + 1e-12
     assert np.all(np.diff(leg.s_sub) > 0)
+
+
+def test_crossing_step_is_integrated_once(mt, monkeypatch):
+    """The path of the crossing length comes from the bisection, not a rerun."""
+    paths = []  # (start state, length, made during a bisection) per RK4 path
+    bisections = []  # (paths before the call, evaluations, returned length)
+    in_bisection = []
+
+    def rk4(F, z0, length, n):
+        paths.append((tuple(z0.tolist()), length, bool(in_bisection)))
+        return rk4_path(F, z0, length, n)
+
+    def bisect(fn, lo, hi, **kw):
+        evals = []
+
+        def counted(t):
+            evals.append(t)
+            return fn(t)
+
+        n_before = len(paths)
+        in_bisection.append(True)
+        try:
+            root = bisect_root(counted, lo, hi, **kw)
+        finally:
+            in_bisection.pop()
+        bisections.append((n_before, len(evals), root))
+        return root
+
+    rk4_path, bisect_root = synthesis_mod._rk4_path, synthesis_mod.bisect_root
+    monkeypatch.setattr(synthesis_mod, "_rk4_path", rk4)
+    monkeypatch.setattr(synthesis_mod, "bisect_root", bisect)
+    leg = integrate_leg(
+        mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
+        np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=SynthesisConfig(),
+    )
+    assert leg.status == TrajectoryStatus.REACHED_LEVEL
+    assert bisections, "the leg should end on a level crossing"
+    trials = sum(not during for _, _, during in paths)
+    assert len(paths) == trials + sum(n for _, n, _ in bisections)
+    assert len({p[:2] for p in paths}) == len(paths), "a path was integrated twice"
+    for n_before, n_evals, root in bisections:
+        start = paths[n_before][0]
+        later = paths[n_before + n_evals :]
+        assert (start, root, False) not in later, "the crossing path was integrated again"
+    assert leg.steps[-1].length == bisections[-1][2]
 
 
 # ----------------------------------------------------------------------
