@@ -19,14 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .pwl import MonotonePL
-from .systems import (
-    ConfigError,
-    ControlSystem,
-    NegativeLagrangian,
-    SingularDynamics,
-    TargetSet,
-    hamiltonian,
-)
+from .systems import ConfigError, ControlSystem, SingularDynamics, TargetSet, hamiltonian
 
 log = logging.getLogger(__name__)
 
@@ -198,7 +191,6 @@ class DecreaseModulus:
     pl: MonotonePL
     eta: float
     samples: tuple
-    slope_floor: float
 
     def __call__(self, u):
         val = self.pl(u)
@@ -252,7 +244,7 @@ def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> Decreas
     pl = MonotonePL(xs, ys, extrapolate="linear")
     if not pl.is_strictly_increasing:
         raise ValueError("modulus construction produced a flat segment")
-    return DecreaseModulus(pl=pl, eta=eta, samples=tuple(pairs), slope_floor=pl.min_slope)
+    return DecreaseModulus(pl=pl, eta=eta, samples=tuple(pairs))
 
 
 # ----------------------------------------------------------------------
@@ -341,24 +333,6 @@ class BandCertificate:
 # batch helpers
 
 
-def _batch_h_for_gradients(
-    system: ControlSystem, X: np.ndarray, P: np.ndarray, p0: float
-) -> np.ndarray:
-    """Minimized Hamiltonian at each (x, p) row pair, vectorized over controls."""
-    H = np.full(len(X), np.inf)
-    for k, a in enumerate(system.control_set):
-        F = np.asarray(system.batch_dynamics(X, a), dtype=float)
-        L = np.asarray(system.batch_lagrangian(X, a), dtype=float)
-        if np.any(~np.isfinite(F)) or np.any(~np.isfinite(L)):
-            bad = np.where(~np.isfinite(F).all(axis=1) | ~np.isfinite(L))[0][0]
-            raise SingularDynamics(X[bad], "batch dynamics evaluation")
-        if np.any(L < 0):
-            bad = int(np.argmin(L))
-            raise NegativeLagrangian(X[bad], k, float(L[bad]))
-        np.minimum(H, p0 * L + np.einsum("ij,ij->i", P, F), out=H)
-    return H
-
-
 def _band_hamiltonians(
     system: ControlSystem, mrf: CandidateMrf, Xb: np.ndarray, Ub: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -374,7 +348,7 @@ def _band_hamiltonians(
             continue
         P = np.asarray(piece.batch_gradient(Xb[idx]), dtype=float)
         max_p = max(max_p, float(np.max(np.linalg.norm(P, axis=1))))
-        Hp = _batch_h_for_gradients(system, Xb[idx], P, mrf.p0_bar)
+        Hp = hamiltonian(system, Xb[idx], mrf.p0_bar, P)
         np.maximum.at(worst, idx, Hp)
     uncovered = ~np.isfinite(worst)
     if np.any(uncovered):
@@ -386,25 +360,51 @@ def _band_hamiltonians(
     return worst, max_p
 
 
+def _worst_gradients(
+    system: ControlSystem, mrf: CandidateMrf, X: np.ndarray, U: np.ndarray
+) -> np.ndarray:
+    """At every row, the limiting gradient with the largest H (earlier piece on ties)."""
+    worst = np.full(len(X), -np.inf)
+    grads = np.full(X.shape, np.nan)
+    for piece, act in zip(mrf.smooth_pieces, mrf.active_masks(X, U)):
+        idx = np.flatnonzero(act)
+        if idx.size == 0:
+            continue
+        P = np.asarray(piece.batch_gradient(X[idx]), dtype=float)
+        Hp = hamiltonian(system, X[idx], mrf.p0_bar, P)
+        win = Hp > worst[idx]
+        worst[idx[win]] = Hp[win]
+        grads[idx[win]] = P[win]
+    return grads
+
+
 def _estimate_semiconcavity(
     mrf: CandidateMrf, Xb: np.ndarray, spacing: float, max_probes: int = 256
 ) -> float:
-    """Sampled upper-quadratic constant: positive part of second differences."""
-    stride = max(1, len(Xb) // max_probes)
+    """Sampled upper-quadratic constant: positive part of second differences.
+
+    Probes where exactly one piece is active compare U one half spacing
+    along each axis with its first-order expansion.
+    """
+    X = Xb[:: max(1, len(Xb) // max_probes)]
+    U0 = mrf.u_batch(X)
+    masks = mrf.active_masks(X, U0)
+    single = np.sum(masks, axis=0) == 1
+    P = np.zeros_like(X)
+    for piece, act in zip(mrf.smooth_pieces, masks):
+        sel = act & single
+        if np.any(sel):
+            P[sel] = piece.batch_gradient(X[sel])
+    X, U0, P = X[single], U0[single], P[single]
     h = 0.5 * spacing
     worst = 0.0
-    for x in Xb[::stride]:
-        pieces = mrf.active_pieces(x)
-        if len(pieces) != 1:
-            continue
-        p = np.asarray(pieces[0].batch_gradient(x[None]), dtype=float)[0]
-        u0 = mrf.u(x)
-        for ax in range(len(x)):
-            step = np.zeros_like(x)
-            step[ax] = h
-            q = (mrf.u(x + step) - u0 - float(np.dot(p, step))) / h**2
-            if np.isfinite(q):
-                worst = max(worst, q)
+    for ax in range(X.shape[1]):
+        shifted = X.copy()
+        shifted[:, ax] += h
+        q = (mrf.u_batch(shifted) - U0 - P[:, ax] * h) / h**2
+        q = q[np.isfinite(q)]
+        if q.size:
+            worst = max(worst, float(np.max(q)))
     return worst
 
 
@@ -526,16 +526,11 @@ def verify_mrf_band(
     hot = H >= -margin
     if np.any(hot):
         idx = np.where(hot)[0]
-        order = idx[np.argsort(-H[idx])]
-        for i in order[:max_violation_records]:
-            x = Xb[i]
-            # recompute pointwise so the record carries the offending gradient
-            rec_p, rec_h = None, -np.inf
-            for p in mrf.limiting_gradients(x):
-                hval = hamiltonian(system, x, mrf.p0_bar, p)
-                if hval > rec_h:
-                    rec_h, rec_p = hval, tuple(float(v) for v in p)
-            violations.append(Violation("hamiltonian", tuple(x), float(H[i]), p=rec_p))
+        rows = idx[np.argsort(-H[idx])][:max_violation_records]
+        # only the recorded rows: the record carries the offending gradient
+        grads = _worst_gradients(system, mrf, Xb[rows], Ub[rows])
+        for i, p in zip(rows, grads):
+            violations.append(Violation("hamiltonian", tuple(Xb[i]), float(H[i]), p=tuple(p)))
         if len(idx) > max_violation_records:
             notes.append(f"{int(hot.sum())} hamiltonian violations, first {max_violation_records} recorded")
 
@@ -666,11 +661,11 @@ def check_supersolution(
         if not np.any(sel):
             continue
         P = np.asarray(piece.batch_gradient(X[sel]), dtype=float)
-        H = _batch_h_for_gradients(system, X[sel], P, mrf.p0_bar)
+        H = hamiltonian(system, X[sel], mrf.p0_bar, P)
         marg = H + modulus(U[sel])
         n_checked += int(sel.sum())
         worst = max(worst, float(np.max(marg)))
-        for i in np.where(marg > tol)[0][:max_records]:
+        for i in np.where(marg > tol)[0][: max_records - len(failures)]:
             xi = X[sel][i]
             failures.append(
                 Violation("supersolution", tuple(xi), float(marg[i]), p=tuple(P[i]))
@@ -766,12 +761,12 @@ def check_weak_petrov(
         X = X[:, None]
 
     # the construction is for minimum-time problems: l must be identically 1
-    probe_idx = [0, len(X) // 2, len(X) - 1] if len(X) else []
-    for i in probe_idx:
-        for a in system.control_set:
-            lv = float(system.lagrangian(X[i], a))
-            if abs(lv - 1.0) > 1e-9:
-                raise ConfigError(f"running cost must be identically 1, got {lv} at x={X[i].tolist()}")
+    for a in system.control_set:
+        L = np.asarray(system.batch_lagrangian(X, a), dtype=float)
+        off = ~(np.abs(L - 1.0) <= 1e-9)
+        if np.any(off):
+            i = int(np.argmax(off))
+            raise ConfigError(f"running cost must be identically 1, got {L[i]} at x={X[i].tolist()}")
 
     # mu must be positive away from 0 and (weakly) increasing
     rs = delta * 10.0 ** (-np.arange(0, 9, dtype=float))
@@ -812,31 +807,36 @@ def check_weak_petrov(
         knots_y.append(acc)
     phi = MonotonePL(np.array(knots_x), np.array(knots_y), extrapolate="linear")
 
-    # directional decrease of the distance at the sample points
+    # directional decrease of the distance at every (point, gradient) pair
     D = target.d_many(X)
-    sel = (D > d_floor) & (D < delta)
-    n_checked = 0
-    worst_slack = -np.inf
-    worst_h = -np.inf
+    sel = np.flatnonzero((D > d_floor) & (D < delta))
+    rows, grads, rates = [], [], []
+    for i in sel:
+        mu_r = float(mu(D[i]))
+        for q in target.distance_gradients(X[i]):
+            rows.append(i)
+            grads.append(q)
+            rates.append(mu_r)
+    n_checked = len(sel)
+    worst_slack = worst_h = float("nan")
     failures: list[Violation] = []
-
-    for x, r in zip(X[sel], D[sel]):
-        mu_r = float(mu(r))
-        for q in target.distance_gradients(x):
-            q = np.asarray(q, dtype=float)
-            best = min(
-                float(np.dot(q, system.dynamics(x, a))) for a in system.control_set
-            )
-            slack = best + mu_r
-            worst_slack = max(worst_slack, slack)
-            if slack > tol and len(failures) < max_records:
-                failures.append(Violation("petrov_decrease", tuple(x), slack, p=tuple(q)))
-            hval = hamiltonian(system, x, p0_bar, q / mu_r)
-            h_marg = hval + (1.0 - p0_bar)
-            worst_h = max(worst_h, h_marg)
-            if h_marg > tol and len(failures) < max_records:
-                failures.append(Violation("petrov_hamiltonian", tuple(x), h_marg, p=tuple(q / mu_r)))
-        n_checked += 1
+    if rows:
+        Xq = X[rows]
+        Q = np.asarray(grads, dtype=float).reshape(Xq.shape)
+        mu_q = np.asarray(rates)
+        Qmu = Q / mu_q[:, None]
+        # with p0 = 0 the Hamiltonian is min_a <q, f(x, a)>
+        slack = hamiltonian(system, Xq, 0.0, Q) + mu_q
+        h_marg = hamiltonian(system, Xq, p0_bar, Qmu) + (1.0 - p0_bar)
+        worst_slack = float(np.max(slack))
+        worst_h = float(np.max(h_marg))
+        for j in np.flatnonzero((slack > tol) | (h_marg > tol)):
+            if slack[j] > tol and len(failures) < max_records:
+                failures.append(Violation("petrov_decrease", Xq[j], slack[j], p=Q[j]))
+            if h_marg[j] > tol and len(failures) < max_records:
+                failures.append(Violation("petrov_hamiltonian", Xq[j], h_marg[j], p=Qmu[j]))
+            if len(failures) >= max_records:
+                break
 
     return PetrovReport(
         ok=not failures and n_checked > 0,

@@ -626,6 +626,9 @@ _STAGE_FILES = (
     ("oracle", "oracle_report.json"),
 )
 
+# stage files merged into one report must agree on these
+_SHARED_PROVENANCE = ("config_digest", "tool_version")
+
 
 def cmd_report(args) -> int:
     if not args.out:
@@ -636,6 +639,7 @@ def cmd_report(args) -> int:
 
     merged: dict = {"schema_version": SCHEMA_VERSION, "kind": "combined", "stages": {}}
     statuses = []
+    provenance: dict = {key: {} for key in _SHARED_PROVENANCE}
     for stage, fname in _STAGE_FILES:
         path = out / fname
         if not path.is_file():
@@ -648,11 +652,20 @@ def cmd_report(args) -> int:
         ok = bool(payload.get("passed", False))
         statuses.append((stage, ok))
         print(f"{stage}: {'ok' if ok else 'FAILED'}")
+        for key, seen in provenance.items():
+            seen[fname] = payload.get(key)
 
     if not statuses:
         raise ConfigError(f"no stage reports found in {out}")
 
-    merged["passed"] = all(ok for _, ok in statuses)
+    consistent = True
+    for key, seen in provenance.items():
+        if len(set(seen.values())) > 1:
+            consistent = False
+            listed = ", ".join(f"{fname}={value}" for fname, value in seen.items())
+            print(f"stage files differ in {key}: {listed}")
+
+    merged["passed"] = consistent and all(ok for _, ok in statuses)
     _write_json(out / "report.json", merged)
     print(f"overall: {'ok' if merged['passed'] else 'FAILED'}")
     return EXIT_OK if merged["passed"] else EXIT_FAILURE

@@ -331,9 +331,6 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         target=target,
         mrf=mrf,
         facts={
-            "inner_radius": 1.0,
-            "outer_radius": 4.0,
-            "ridge_radius": 2.0,
             "u_ridge": float(u_inner(2.0)),
             "oracle_pin": _spiral_oracle_pin(k_const),
         },

@@ -178,38 +178,6 @@ class GridValueTable:
     last_change: float
     converged: bool
 
-    @property
-    def values_nd(self) -> np.ndarray:
-        shape = tuple(len(ax) for ax in self.grid.axes())
-        return self.values.reshape(shape)
-
-    def interpolate(self, points: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of the table at off-node points."""
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        axes = self.grid.axes()
-        shape = tuple(len(ax) for ax in axes)
-        dim = self.grid.dim
-        cells = (P - np.asarray(self.grid.lower)) / self.grid.spacing
-        if np.any(cells < -1e-9) or np.any(cells > np.array(shape) - 1 + 1e-9):
-            raise ConfigError("interpolation point outside the table box")
-        i0 = np.clip(np.floor(cells).astype(np.int64), 0, np.array(shape) - 2)
-        frac = np.clip(cells - i0, 0.0, 1.0)
-        strides = np.empty(dim, dtype=np.int64)
-        acc = 1
-        for j in range(dim - 1, -1, -1):
-            strides[j] = acc
-            acc *= shape[j]
-        flat = (i0 * strides[None, :]).sum(axis=1)
-        out = np.zeros(P.shape[0])
-        for c in itertools.product((0, 1), repeat=dim):
-            w = np.ones(P.shape[0])
-            off = 0
-            for j in range(dim):
-                w *= frac[:, j] if c[j] else (1.0 - frac[:, j])
-                off += c[j] * strides[j]
-            out += w * self.values[flat + off]
-        return out if out.shape[0] > 1 else float(out[0])
-
     def sup_error(self, fn: Callable[[np.ndarray], np.ndarray], *, big_cut: float = BIG / 10):
         """Sup-norm distance to a reference function over resolved nodes."""
         X = self.grid.points()

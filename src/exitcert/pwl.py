@@ -134,9 +134,6 @@ class MonotonePL:
             raise ValueError("cannot invert: function has a flat segment")
         return MonotonePL(self.ys.copy(), self.xs.copy(), extrapolate=self.extrapolate)
 
-    def shift_values(self, delta: float) -> "MonotonePL":
-        return MonotonePL(self.xs.copy(), self.ys + delta, extrapolate=self.extrapolate)
-
     @classmethod
     def identity(cls, xs: Sequence[float]) -> "MonotonePL":
         arr = np.asarray(xs, dtype=float)

@@ -27,6 +27,7 @@ from .systems import (
     TargetSet,
     Trajectory,
     TrajectoryStatus,
+    eval_block,
     eval_dynamics,
     eval_lagrangian,
 )
@@ -502,7 +503,7 @@ def reparam_to_time(
     for st in leg.steps:
         n = len(st.states) - 1
         h = st.length / n
-        l_vals = np.array([eval_lagrangian(system, z, st.a_index) for z in st.states])
+        _, l_vals = eval_block(system, st.states, st.a_index)
         m_vals = np.asarray(modulus(st.u), dtype=float)
         g_vals = p0 * l_vals + m_vals
         if np.any(g_vals <= 0):
@@ -528,16 +529,18 @@ def reparam_to_time(
             )
 
         # ODE residual of the t-parameterized path at segment midpoints
-        for i in range(n):
-            if dt[i] <= 0:
-                raise ModulusError(st.states[i], float(g_vals[i]))
-            z_mid = 0.5 * (st.states[i] + st.states[i + 1])
-            u_mid = 0.5 * (st.u[i] + st.u[i + 1])
-            psi = _cutoff(u_mid, leg.mu_hat, modulus.top_level)
-            f_mid = psi * eval_dynamics(system, z_mid, st.a_index)
-            rate = (st.states[i + 1] - st.states[i]) / dt[i]
-            res = float(np.linalg.norm(rate - f_mid) / (1.0 + np.linalg.norm(f_mid)))
-            residual_max = max(residual_max, res)
+        if np.any(dt <= 0):
+            i = int(np.argmax(dt <= 0))
+            raise ModulusError(st.states[i], float(g_vals[i]))
+        z_mid = 0.5 * (st.states[:-1] + st.states[1:])
+        u_mid = 0.5 * (st.u[:-1] + st.u[1:])
+        psi = [_cutoff(u, leg.mu_hat, modulus.top_level) for u in u_mid.tolist()]
+        f_mid = np.asarray(psi)[:, None] * eval_block(system, z_mid, st.a_index)[0]
+        r = (st.states[1:] - st.states[:-1]) / dt[:, None] - f_mid
+        # np.vecdot rounds each row like np.linalg.norm on that row;
+        # norm(axis=1) and einsum may round differently
+        res = np.sqrt(np.vecdot(r, r)) / (1.0 + np.sqrt(np.vecdot(f_mid, f_mid)))
+        residual_max = max(residual_max, float(np.max(res)))
 
         off_t = t_sub[-1]
         off_c = cost_sub[-1]

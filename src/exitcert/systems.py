@@ -26,8 +26,8 @@ __all__ = [
     "Trajectory",
     "eval_dynamics",
     "eval_lagrangian",
+    "eval_block",
     "hamiltonian",
-    "hamiltonian_argmin",
 ]
 
 
@@ -118,38 +118,47 @@ def eval_lagrangian(system: ControlSystem, x: np.ndarray, a_index: int) -> float
     return val
 
 
+def eval_block(
+    system: ControlSystem, X: np.ndarray, a_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """f and l of one control at every row of X, checked like the point forms.
+
+    Returns the (N, dim) dynamics and the (N,) running costs; raises
+    SingularDynamics on a non-finite row and NegativeLagrangian on a
+    negative cost.
+    """
+    a = system.control(a_index)
+    F = np.asarray(system.batch_dynamics(X, a), dtype=float)
+    L = np.asarray(system.batch_lagrangian(X, a), dtype=float)
+    finite = np.isfinite(F).all(axis=1) & np.isfinite(L)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise SingularDynamics(X[bad], f"f or l of control index {a_index}")
+    if np.any(L < 0):
+        bad = int(np.argmin(L))
+        raise NegativeLagrangian(X[bad], a_index, float(L[bad]))
+    return F, L
+
+
 # ----------------------------------------------------------------------
 # minimized Hamiltonian
 
 
-def _scan_controls(system: ControlSystem, x: np.ndarray, p0: float, p: np.ndarray):
+def hamiltonian(system: ControlSystem, X: np.ndarray, p0: float, P: np.ndarray) -> np.ndarray:
+    """Minimized Hamiltonian at each (x, p) row pair of X and P.
+
+    H(x, p0, p) = min over the control set of p0*l(x, a) + <p, f(x, a)>,
+    evaluated on (N, dim) blocks with one model call per control.
+    """
     if not system.control_set:
         raise ConfigError("control set is empty")
     if p0 < 0:
         raise ValueError("p0 must be non-negative")
-    p = np.asarray(p, dtype=float)
-    best_val = np.inf
-    best_idx = 0
+    H = np.full(len(X), np.inf)
     for k in range(system.n_controls):
-        f = eval_dynamics(system, x, k)
-        l = eval_lagrangian(system, x, k)
-        val = p0 * l + float(np.dot(p, f))
-        if val < best_val:
-            best_val = val
-            best_idx = k
-    return best_val, best_idx
-
-
-def hamiltonian(system: ControlSystem, x: np.ndarray, p0: float, p: np.ndarray) -> float:
-    """Minimized Hamiltonian: inf over the control set of p0*l + <p, f>."""
-    val, _ = _scan_controls(system, x, p0, p)
-    return val
-
-
-def hamiltonian_argmin(system: ControlSystem, x: np.ndarray, p0: float, p: np.ndarray) -> int:
-    """Index of the minimizing control; ties go to the lowest index."""
-    _, idx = _scan_controls(system, x, p0, p)
-    return idx
+        F, L = eval_block(system, X, k)
+        np.minimum(H, p0 * L + np.einsum("ij,ij->i", P, F), out=H)
+    return H
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +192,6 @@ class TargetSet:
             i = int(np.argmax(bad))
             raise ConfigError(f"distance evaluated to {D[i]} at x={X[i].tolist()}")
         return D
-
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return self.d(x) <= tol
 
 
 def check_distance_lipschitz(target: TargetSet, points: np.ndarray, tol: float = 1e-9) -> float:

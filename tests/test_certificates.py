@@ -10,6 +10,7 @@ from exitcert.certificates import (
     GridSpec,
     IntegrabilityError,
     PositiveDefinitenessViolation,
+    SmoothPiece,
     build_decrease_modulus,
     check_supersolution,
     check_weak_petrov,
@@ -174,6 +175,34 @@ def test_uncertified_band_when_margin_too_demanding(mt):
     assert any(v.kind == "hamiltonian" for v in cert.violations)
 
 
+def _half_line_piece(name, sign, slope):
+    # value |x| on the side sign*x > 0, with gradient sign*slope
+    return SmoothPiece(
+        name=name,
+        batch_value=lambda X: np.abs(X[:, 0]),
+        batch_gradient=lambda X: np.full((len(X), 1), sign * slope),
+        batch_region=lambda X: sign * X[:, 0] > 0,
+    )
+
+
+@pytest.mark.parametrize("shallow_first", [True, False])
+def test_hamiltonian_record_carries_the_violating_piece_gradient(mt, shallow_first):
+    # at x > 0 two pieces are active; with p0 = 0.9 the gradient 1 gives
+    # H = -0.1 and the gradient 0.5 gives H = 0.4, so only the latter violates
+    steep = _half_line_piece("steep", 1.0, 1.0)
+    shallow = _half_line_piece("shallow", 1.0, 0.5)
+    right = (shallow, steep) if shallow_first else (steep, shallow)
+    kinked = replace(mt.ex.mrf, smooth_pieces=right + (_half_line_piece("left", -1.0, 1.0),))
+    cert = verify_mrf_band(mt.ex.system, mt.ex.target, kinked, 0.05, 1.5, mt.grid)
+    assert not cert.certified
+    records = [v for v in cert.violations if v.kind == "hamiltonian"]
+    assert len(records) == 32
+    for v in records:
+        assert v.x[0] > 0
+        assert v.p == (0.5,)
+        assert v.value == pytest.approx(0.4)
+
+
 # ----------------------------------------------------------------------
 # supersolution spot check
 
@@ -205,6 +234,19 @@ def test_supersolution_fails_with_inflated_modulus(mt):
     assert not rep.passed
     assert rep.failures
     assert rep.failures[0].kind == "supersolution"
+
+
+def test_supersolution_caps_failures_in_total():
+    # every band point of all three spiral pieces fails against this modulus
+    ex = spiral(epsilon=0.5)
+    inflated = build_decrease_modulus([(0.5, 50.0), (1.0, 50.0), (1.4, 50.0)])
+    pts = GridSpec(np.array([-4.2, -4.2]), np.array([4.2, 4.2]), 0.1).points()
+    rep = check_supersolution(
+        ex.system, ex.mrf, inflated, pts, band=(0.05, 1.3), target=ex.target
+    )
+    assert not rep.passed
+    assert rep.n_checked > 3 * 32
+    assert len(rep.failures) == 32
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +295,53 @@ def test_petrov_linear_profile_diverges():
     assert len(exc.value.increments) > 0
     # log divergence: decade increments stay flat instead of decaying
     assert np.median(exc.value.ratios) > 0.9
+
+
+def test_petrov_checks_unit_cost_on_every_sample():
+    ex = petrov_demo("sqrt")
+
+    def cost(X):
+        # 1 everywhere but on 0.4 < |x| < 0.6, which holds no end or middle sample
+        return np.where((np.abs(X[:, 0]) > 0.4) & (np.abs(X[:, 0]) < 0.6), 2.0, 1.0)
+
+    bumpy = replace(
+        ex.system,
+        lagrangian=lambda x, a: float(cost(x[None])[0]),
+        batch_lagrangian=lambda X, a: cost(X),
+    )
+    with pytest.raises(ConfigError, match="identically 1"):
+        check_weak_petrov(bumpy, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points())
+
+
+@pytest.mark.parametrize("max_records", [32, 5])
+def test_petrov_records_pair_by_pair_up_to_the_cap(max_records):
+    ex = petrov_demo("sqrt")
+    # at speed 1/4 both checks fail wherever sqrt(d) > 1/4
+    slow = replace(
+        ex.system,
+        dynamics=lambda x, a: np.array([0.25 * a[0]]),
+        batch_dynamics=lambda X, a: np.full((len(X), 1), 0.25 * a[0]),
+    )
+    pts = _petrov_points()
+    rep = check_weak_petrov(
+        slow, ex.target, _MU_PROFILES["sqrt"], 1.0, pts, max_records=max_records
+    )
+    assert not rep.ok
+    assert len(rep.failures) == max_records
+    kinds = ["petrov_decrease", "petrov_hamiltonian"] * max_records
+    assert [v.kind for v in rep.failures] == kinds[:max_records]
+    d = np.abs(pts[:, 0])
+    failing = pts[(d > 0.0625 + 1e-9) & (d < 1.0)]
+    for k, v in enumerate(rep.failures):
+        x = failing[k // 2]
+        assert v.x == (x[0],)
+        rate = np.sqrt(abs(x[0]))
+        if v.kind == "petrov_decrease":
+            assert v.p == (np.sign(x[0]),)
+            assert v.value == pytest.approx(rate - 0.25)
+        else:
+            assert v.p == pytest.approx((np.sign(x[0]) / rate,))
+            assert v.value == pytest.approx(1.0 - 0.25 / rate)
 
 
 def test_petrov_induced_candidate_certifies():

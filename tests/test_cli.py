@@ -1,12 +1,13 @@
 """End-to-end checks of the command line front end.
 
-Everything runs in-process through main(argv) against small 1-d configs
-so the whole module stays fast.  Covers the four subcommands, the exit
+Everything runs in-process through main(argv), mostly against small 1-d
+configs so the whole module stays fast.  Covers the four subcommands, the exit
 code contract (0 ok, 1 certificate/invariant failure, 2 config error,
 3 non-convergence), report determinism, and the CSV export format.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -14,6 +15,8 @@ import yaml
 from exitcert.cli import main
 from exitcert.config import config_from_dict
 from exitcert.systems import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MT_CFG = """\
 seed: 0
@@ -276,6 +279,37 @@ def test_report_flags_failed_stage(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "verify: FAILED" in text
     assert "overall: FAILED" in text
+
+
+def test_report_refuses_stage_files_from_different_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "-c", str(CONFIGS / "minimum_time.yaml"), "-o", str(out)]) == 0
+    assert main(["oracle", "-c", str(CONFIGS / "spiral_ring.yaml"), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "-o", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "verify: ok" in text and "oracle: ok" in text
+    line = next(s for s in text.splitlines() if "config_digest" in s)
+    assert "verify_report.json" in line and "oracle_report.json" in line
+    assert "tool_version" not in text
+    assert "overall: FAILED" in text
+    merged = json.loads((out / "report.json").read_text())
+    assert set(merged) == {"schema_version", "kind", "stages", "passed"}
+    assert merged["passed"] is False
+
+    # one config, but a stage file written by another version
+    cfg = _write(tmp_path, MT_CFG)
+    out = tmp_path / "out_versions"
+    assert main(["verify", "-c", cfg, "-o", str(out)]) == 0
+    assert main(["oracle", "-c", cfg, "-o", str(out)]) == 0
+    oracle = json.loads((out / "oracle_report.json").read_text())
+    oracle["tool_version"] = "0.0.0"
+    (out / "oracle_report.json").write_text(json.dumps(oracle))
+    capsys.readouterr()
+    assert main(["report", "-o", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "tool_version" in text and "oracle_report.json=0.0.0" in text
+    assert "config_digest" not in text
 
 
 def test_report_requires_stage_files(tmp_path):

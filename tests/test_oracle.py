@@ -112,19 +112,6 @@ def test_no_target_node_is_an_error(mt_table):
         hjb_value_iteration(ex.system, far, GRID_1D, 0.01)
 
 
-def test_interpolation_at_and_between_nodes(mt_table):
-    _, table = mt_table
-    assert table.interpolate(np.array([0.5])) == pytest.approx(0.5, abs=1e-9)
-    assert table.interpolate(np.array([0.505])) == pytest.approx(0.505, abs=1e-9)
-    with pytest.raises(ConfigError):
-        table.interpolate(np.array([2.5]))
-
-
-def test_values_nd_shape(ring_table):
-    _, table, _, _ = ring_table
-    assert table.values_nd.shape == (169, 169)
-
-
 def test_stencil_weights_are_multilinear(mt_table):
     ex, _ = mt_table
     base, wts, offsets, stage = build_stencils(ex.system, GRID_1D, 0.01)

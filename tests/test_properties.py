@@ -17,7 +17,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exitcert.certificates import _batch_h_for_gradients
 from exitcert.library import get_example
 from exitcert.synthesis import verify_kl
 from exitcert.systems import (
@@ -26,7 +25,6 @@ from exitcert.systems import (
     eval_dynamics,
     eval_lagrangian,
     hamiltonian,
-    hamiltonian_argmin,
 )
 
 
@@ -167,50 +165,63 @@ SHEAR = ControlSystem(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(1e-3, 1e3), st.floats(-4, 4), st.floats(-4, 4), st.floats(0.0, 2.0))
-def test_hamiltonian_homogeneous_degree_one(lam, p1, p2, p0):
-    x = np.array([0.3, -0.8])
-    p = np.array([p1, p2])
-    base = hamiltonian(SHEAR, x, p0, p)
-    scaled = hamiltonian(SHEAR, x, lam * p0, lam * p)
-    assert scaled == pytest.approx(lam * base, rel=1e-10, abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_argmin_agrees_with_exhaustive_scan(data):
-    x = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=2, max_size=2)))
-    p = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2)))
-    p0 = data.draw(st.floats(0.0, 3.0))
-    vals = [
-        p0 * eval_lagrangian(SHEAR, x, i)
-        + float(np.dot(p, eval_dynamics(SHEAR, x, i)))
-        for i in range(len(SHEAR.control_set))
-    ]
-    k = hamiltonian_argmin(SHEAR, x, p0, p)
-    assert vals[k] == pytest.approx(min(vals))
-    assert k == int(np.argmin(vals))
-
-
 SPIRAL = get_example("spiral").system
+
+
+def _exhaustive_scan(system, X, p0, P):
+    """min over the controls of p0*l + <p, f>, one point and one control at a time."""
+    return np.array(
+        [
+            min(
+                p0 * eval_lagrangian(system, x, k) + float(np.dot(p, eval_dynamics(system, x, k)))
+                for k in range(system.n_controls)
+            )
+            for x, p in zip(X, P)
+        ]
+    )
+
+
+def _term_size(system, X, p0, P) -> float:
+    """Largest p0*|l| + sum |p_i f_i| over rows and controls: the scale of rounding errors."""
+    return max(
+        float(np.max(p0 * np.abs(system.batch_lagrangian(X, a))
+                     + np.abs(P * system.batch_dynamics(X, a)).sum(axis=1)))
+        for a in system.control_set
+    )
+
+
+def _draw_block(data, system):
+    n = data.draw(st.integers(1, 6))
+    row = st.lists(st.floats(-3, 3), min_size=2, max_size=2)
+    X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    P = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    if system is SPIRAL:
+        assume(np.all(np.hypot(X[:, 0], X[:, 1]) != 1.0))  # the drift is singular there
+    return X, P
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.floats(1e-3, 1e3), st.floats(0.0, 2.0))
+def test_hamiltonian_homogeneous_degree_one(data, lam, p0):
+    system = data.draw(st.sampled_from([SHEAR, SPIRAL]))
+    X, P = _draw_block(data, system)
+    base = hamiltonian(system, X, p0, P)
+    scaled = hamiltonian(system, X, lam * p0, lam * P)
+    tol = 1e-12 * (1.0 + _term_size(system, X, p0, P))
+    np.testing.assert_allclose(scaled, lam * base, rtol=1e-10, atol=lam * tol)
+    np.testing.assert_allclose(base, _exhaustive_scan(system, X, p0, P), rtol=1e-12, atol=tol)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_block_hamiltonian_agrees_with_point_hamiltonian(data):
-    """The block evaluators describe the same system as the point evaluators."""
+    """The block Hamiltonian is the exhaustive scan over the point evaluators."""
     system = data.draw(st.sampled_from([SHEAR, SPIRAL]))
-    n = data.draw(st.integers(1, 6))
-    row = st.lists(st.floats(-3, 3), min_size=2, max_size=2)
-    X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
-    P = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    X, P = _draw_block(data, system)
     p0 = data.draw(st.floats(0.0, 2.0))
-    if system is SPIRAL:
-        assume(np.all(np.hypot(X[:, 0], X[:, 1]) != 1.0))  # the drift is singular there
-    H = _batch_h_for_gradients(system, X, P, p0)
-    for i in range(n):
-        assert H[i] == pytest.approx(hamiltonian(system, X[i], p0, P[i]), rel=1e-12, abs=1e-12)
+    H = hamiltonian(system, X, p0, P)
+    tol = 1e-12 * (1.0 + _term_size(system, X, p0, P))
+    np.testing.assert_allclose(H, _exhaustive_scan(system, X, p0, P), rtol=1e-12, atol=tol)
 
 
 # Every example with a candidate, with the parameters of the bundled

@@ -189,12 +189,10 @@ def test_bisect_root_requires_sign_change():
         bisect_root(lambda t: 1.0 + t * t, 0.0, 1.0)
 
 
-def test_identity_and_shift():
+def test_identity():
     xs = np.array([0.0, 1.0, 2.0])
     ident = MonotonePL.identity(xs)
     np.testing.assert_allclose(ident(xs), xs)
-    shifted = ident.shift_values(0.5)
-    np.testing.assert_allclose(shifted(xs), xs + 0.5)
 
 
 def test_min_slope():

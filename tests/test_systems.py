@@ -1,11 +1,14 @@
 """Control systems, Hamiltonians, targets and trajectory containers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitcert.library import minimum_time_1d, spiral
+from exitcert.synthesis import feedback_select
 from exitcert.systems import (
     ConfigError,
     ControlSystem,
@@ -16,34 +19,53 @@ from exitcert.systems import (
     Trajectory,
     TrajectoryStatus,
     check_distance_lipschitz,
+    eval_block,
     eval_dynamics,
     eval_lagrangian,
     hamiltonian,
-    hamiltonian_argmin,
 )
 
 MT = minimum_time_1d(p0_bar=0.9)
 
 
+def brute_hamiltonian(system, X, p0, P):
+    """min over the controls of p0*l + <p, f>, one point and one control at a time."""
+    return np.array(
+        [
+            min(
+                p0 * eval_lagrangian(system, x, k) + float(np.dot(p, eval_dynamics(system, x, k)))
+                for k in range(system.n_controls)
+            )
+            for x, p in zip(X, P)
+        ]
+    )
+
+
 def test_minimum_time_hamiltonian_values():
     # min over a in {-1, +1} of p0*1 + p*a = p0 - |p|
-    x = np.array([1.0])
-    p = np.array([1.0])
-    assert hamiltonian(MT.system, x, 0.9, p) == pytest.approx(-0.1)
-    assert hamiltonian(MT.system, x, 0.5, p) == pytest.approx(-0.5)
-    assert hamiltonian(MT.system, x, 0.9, np.array([-2.0])) == pytest.approx(-1.1)
-
-
-def test_hamiltonian_argmin_picks_descending_control():
-    x = np.array([1.0])
-    # positive costate: the minimizer is a = -1, stored at index 0
-    assert hamiltonian_argmin(MT.system, x, 0.9, np.array([1.0])) == 0
-    assert hamiltonian_argmin(MT.system, x, 0.9, np.array([-1.0])) == 1
+    X = np.array([[1.0], [1.0], [-0.5]])
+    P = np.array([[1.0], [-2.0], [0.0]])
+    np.testing.assert_allclose(hamiltonian(MT.system, X, 0.9, P), [-0.1, -1.1, 0.9])
+    np.testing.assert_allclose(hamiltonian(MT.system, X, 0.5, P), [-0.5, -1.5, 0.5])
+    np.testing.assert_allclose(
+        hamiltonian(MT.system, X, 0.9, P), brute_hamiltonian(MT.system, X, 0.9, P)
+    )
 
 
 def test_hamiltonian_rejects_negative_p0():
     with pytest.raises(ValueError):
-        hamiltonian(MT.system, np.array([1.0]), -0.1, np.array([1.0]))
+        hamiltonian(MT.system, np.array([[1.0]]), -0.1, np.array([[1.0]]))
+    empty = ControlSystem(
+        name="empty",
+        state_dim=1,
+        dynamics=lambda x, a: np.zeros(1),
+        lagrangian=lambda x, a: 1.0,
+        control_set=(),
+        batch_dynamics=lambda X, a: np.zeros((len(X), 1)),
+        batch_lagrangian=lambda X, a: np.ones(len(X)),
+    )
+    with pytest.raises(ConfigError, match="empty"):
+        hamiltonian(empty, np.array([[1.0]]), 0.5, np.array([[1.0]]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -54,18 +76,20 @@ def test_hamiltonian_rejects_negative_p0():
 )
 def test_hamiltonian_positive_homogeneity(lam, p_val, p0):
     """H(x, lam*p0, lam*p) = lam * H(x, p0, p) for lam > 0."""
-    x = np.array([0.7])
-    p = np.array([p_val])
-    h1 = hamiltonian(MT.system, x, p0, p)
-    h2 = hamiltonian(MT.system, x, lam * p0, lam * p)
-    assert h2 == pytest.approx(lam * h1, rel=1e-10, abs=1e-12)
+    X = np.array([[0.7], [-1.3]])
+    P = np.array([[p_val], [-p_val]])
+    h1 = hamiltonian(MT.system, X, p0, P)
+    h2 = hamiltonian(MT.system, X, lam * p0, lam * P)
+    np.testing.assert_allclose(h2, lam * h1, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(h1, brute_hamiltonian(MT.system, X, p0, P), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_argmin_matches_brute_scan_on_random_affine_systems(data):
+def test_hamiltonian_matches_brute_scan_on_random_affine_systems(data):
     n_ctrl = data.draw(st.integers(2, 6))
     dim = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 5))
     controls = tuple(
         np.array(data.draw(st.lists(st.floats(-2, 2), min_size=dim, max_size=dim)))
         for _ in range(n_ctrl)
@@ -79,29 +103,24 @@ def test_argmin_matches_brute_scan_on_random_affine_systems(data):
         batch_dynamics=lambda X, a: a + 0.5 * X,
         batch_lagrangian=lambda X, a: np.full(len(X), 1.0 + float(np.dot(a, a))),
     )
-    x = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
-    p = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
+    row = st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)
+    X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    P = 3.0 * np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
     p0 = data.draw(st.floats(0.0, 2.0))
-
-    vals = [
-        p0 * eval_lagrangian(sys_rand, x, i) + float(np.dot(p, eval_dynamics(sys_rand, x, i)))
-        for i in range(n_ctrl)
-    ]
-    assert hamiltonian(sys_rand, x, p0, p) == pytest.approx(min(vals))
-    assert hamiltonian_argmin(sys_rand, x, p0, p) == int(np.argmin(vals))
-
-
-def test_argmin_tie_goes_to_lowest_index():
-    tied = ControlSystem(
-        name="tied",
-        state_dim=1,
-        dynamics=lambda x, a: np.array([0.0]),
-        lagrangian=lambda x, a: 1.0,
-        control_set=(np.array([-1.0]), np.array([1.0])),
-        batch_dynamics=lambda X, a: np.zeros((len(X), 1)),
-        batch_lagrangian=lambda X, a: np.ones(len(X)),
+    np.testing.assert_allclose(
+        hamiltonian(sys_rand, X, p0, P), brute_hamiltonian(sys_rand, X, p0, P),
+        rtol=1e-12, atol=1e-12,
     )
-    assert hamiltonian_argmin(tied, np.array([0.0]), 1.0, np.array([1.0])) == 0
+
+
+def test_argmin_tie_goes_to_lowest_index(mt):
+    # controls 1 and 2 are the same descending control a = -1, so the
+    # feedback choice ties between them
+    tied = replace(
+        mt.ex.system, control_set=(np.array([1.0]), np.array([-1.0]), np.array([-1.0]))
+    )
+    choice = feedback_select(tied, mt.ex.mrf, mt.modulus, np.array([1.0]))
+    assert choice.a_index == 1
 
 
 def test_spiral_dynamics_value():
@@ -137,6 +156,23 @@ def test_eval_guards():
     with pytest.raises(NegativeLagrangian) as exc:
         eval_lagrangian(bad, np.array([0.0]), 0)
     assert exc.value.value == -1.0
+    with pytest.raises(SingularDynamics):
+        eval_block(bad, np.array([[0.0]]), 0)
+    # the block form names the first offending row and the control index
+    neg = ControlSystem(
+        name="neg",
+        state_dim=1,
+        dynamics=lambda x, a: np.zeros(1),
+        lagrangian=lambda x, a: float(x[0]),
+        control_set=(np.array([0.0]), np.array([1.0])),
+        batch_dynamics=lambda X, a: np.zeros((len(X), 1)),
+        batch_lagrangian=lambda X, a: X[:, 0] - a[0],
+    )
+    with pytest.raises(NegativeLagrangian) as exc:
+        eval_block(neg, np.array([[2.0], [0.5], [1.5]]), 1)
+    assert (exc.value.a_index, exc.value.value, exc.value.x.tolist()) == (1, -0.5, [0.5])
+    with pytest.raises(NegativeLagrangian):
+        hamiltonian(neg, np.array([[2.0], [0.5]]), 1.0, np.zeros((2, 1)))
     with pytest.raises(ConfigError):
         bad.control(5)
 
@@ -156,13 +192,6 @@ def test_target_distance_validation():
             t3.d_many(X)
     np.testing.assert_array_equal(MT.target.d_many(X), [0.0, 1.0])
     assert MT.target.d(np.array([-0.5])) == 0.5
-
-
-def test_target_contains():
-    t = MT.target
-    assert t.contains(np.array([0.0]))
-    assert not t.contains(np.array([0.5]))
-    assert t.contains(np.array([0.5]), tol=0.5)
 
 
 def test_distance_lipschitz_on_abs():
