@@ -503,7 +503,7 @@ def reparam_to_time(
     for st in leg.steps:
         n = len(st.states) - 1
         h = st.length / n
-        _, l_vals = eval_block(system, st.states, st.a_index)
+        _, l_vals = eval_block(system, st.states, st.a_index, dynamics=False)
         m_vals = np.asarray(modulus(st.u), dtype=float)
         g_vals = p0 * l_vals + m_vals
         if np.any(g_vals <= 0):
@@ -535,9 +535,10 @@ def reparam_to_time(
         z_mid = 0.5 * (st.states[:-1] + st.states[1:])
         u_mid = 0.5 * (st.u[:-1] + st.u[1:])
         psi = [_cutoff(u, leg.mu_hat, modulus.top_level) for u in u_mid.tolist()]
-        f_mid = np.asarray(psi)[:, None] * eval_block(system, z_mid, st.a_index)[0]
+        f_raw, _ = eval_block(system, z_mid, st.a_index, lagrangian=False)
+        f_mid = np.asarray(psi)[:, None] * f_raw
         r = (st.states[1:] - st.states[:-1]) / dt[:, None] - f_mid
-        # np.vecdot rounds each row like np.linalg.norm on that row;
+        # np.vecdot (numpy >= 2.0) rounds each row like np.linalg.norm on that row;
         # norm(axis=1) and einsum may round differently
         res = np.sqrt(np.vecdot(r, r)) / (1.0 + np.sqrt(np.vecdot(f_mid, f_mid)))
         residual_max = max(residual_max, float(np.max(res)))

@@ -119,22 +119,32 @@ def eval_lagrangian(system: ControlSystem, x: np.ndarray, a_index: int) -> float
 
 
 def eval_block(
-    system: ControlSystem, X: np.ndarray, a_index: int
-) -> tuple[np.ndarray, np.ndarray]:
+    system: ControlSystem,
+    X: np.ndarray,
+    a_index: int,
+    *,
+    dynamics: bool = True,
+    lagrangian: bool = True,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """f and l of one control at every row of X, checked like the point forms.
 
-    Returns the (N, dim) dynamics and the (N,) running costs; raises
-    SingularDynamics on a non-finite row and NegativeLagrangian on a
-    negative cost.
+    Returns the (N, dim) dynamics and the (N,) running costs, each None
+    when not asked for; only what is asked for is evaluated and checked.
+    Raises SingularDynamics on a non-finite row and NegativeLagrangian on
+    a negative cost.
     """
     a = system.control(a_index)
-    F = np.asarray(system.batch_dynamics(X, a), dtype=float)
-    L = np.asarray(system.batch_lagrangian(X, a), dtype=float)
-    finite = np.isfinite(F).all(axis=1) & np.isfinite(L)
+    F = np.asarray(system.batch_dynamics(X, a), dtype=float) if dynamics else None
+    L = np.asarray(system.batch_lagrangian(X, a), dtype=float) if lagrangian else None
+    finite = np.ones(len(X), dtype=bool)
+    if F is not None:
+        finite &= np.isfinite(F).all(axis=1)
+    if L is not None:
+        finite &= np.isfinite(L)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise SingularDynamics(X[bad], f"f or l of control index {a_index}")
-    if np.any(L < 0):
+    if L is not None and np.any(L < 0):
         bad = int(np.argmin(L))
         raise NegativeLagrangian(X[bad], a_index, float(L[bad]))
     return F, L

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hamiltonian_reference import brute_hamiltonian
 
 from exitcert.library import get_example
 from exitcert.synthesis import verify_kl
 from exitcert.systems import (
     ControlSystem,
     TrajectoryStatus,
-    eval_dynamics,
-    eval_lagrangian,
     hamiltonian,
 )
 
@@ -168,19 +167,6 @@ SHEAR = ControlSystem(
 SPIRAL = get_example("spiral").system
 
 
-def _exhaustive_scan(system, X, p0, P):
-    """min over the controls of p0*l + <p, f>, one point and one control at a time."""
-    return np.array(
-        [
-            min(
-                p0 * eval_lagrangian(system, x, k) + float(np.dot(p, eval_dynamics(system, x, k)))
-                for k in range(system.n_controls)
-            )
-            for x, p in zip(X, P)
-        ]
-    )
-
-
 def _term_size(system, X, p0, P) -> float:
     """Largest p0*|l| + sum |p_i f_i| over rows and controls: the scale of rounding errors."""
     return max(
@@ -209,7 +195,7 @@ def test_hamiltonian_homogeneous_degree_one(data, lam, p0):
     scaled = hamiltonian(system, X, lam * p0, lam * P)
     tol = 1e-12 * (1.0 + _term_size(system, X, p0, P))
     np.testing.assert_allclose(scaled, lam * base, rtol=1e-10, atol=lam * tol)
-    np.testing.assert_allclose(base, _exhaustive_scan(system, X, p0, P), rtol=1e-12, atol=tol)
+    np.testing.assert_allclose(base, brute_hamiltonian(system, X, p0, P), rtol=1e-12, atol=tol)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,7 +207,7 @@ def test_block_hamiltonian_agrees_with_point_hamiltonian(data):
     p0 = data.draw(st.floats(0.0, 2.0))
     H = hamiltonian(system, X, p0, P)
     tol = 1e-12 * (1.0 + _term_size(system, X, p0, P))
-    np.testing.assert_allclose(H, _exhaustive_scan(system, X, p0, P), rtol=1e-12, atol=tol)
+    np.testing.assert_allclose(H, brute_hamiltonian(system, X, p0, P), rtol=1e-12, atol=tol)
 
 
 # Every example with a candidate, with the parameters of the bundled

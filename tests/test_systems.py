@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hamiltonian_reference import brute_hamiltonian
 
 from exitcert.library import minimum_time_1d, spiral
 from exitcert.synthesis import feedback_select
@@ -26,19 +27,6 @@ from exitcert.systems import (
 )
 
 MT = minimum_time_1d(p0_bar=0.9)
-
-
-def brute_hamiltonian(system, X, p0, P):
-    """min over the controls of p0*l + <p, f>, one point and one control at a time."""
-    return np.array(
-        [
-            min(
-                p0 * eval_lagrangian(system, x, k) + float(np.dot(p, eval_dynamics(system, x, k)))
-                for k in range(system.n_controls)
-            )
-            for x, p in zip(X, P)
-        ]
-    )
 
 
 def test_minimum_time_hamiltonian_values():
@@ -158,6 +146,13 @@ def test_eval_guards():
     assert exc.value.value == -1.0
     with pytest.raises(SingularDynamics):
         eval_block(bad, np.array([[0.0]]), 0)
+    # only what is asked for is evaluated and checked
+    ok_l = replace(bad, batch_lagrangian=lambda X, a: np.ones(len(X)))
+    F, L = eval_block(ok_l, np.array([[0.0]]), 0, dynamics=False)
+    assert F is None and L.tolist() == [1.0]
+    ok_f = replace(bad, batch_dynamics=lambda X, a: np.zeros((len(X), 1)))
+    F, L = eval_block(ok_f, np.array([[0.0]]), 0, lagrangian=False)
+    assert F.tolist() == [[0.0]] and L is None
     # the block form names the first offending row and the control index
     neg = ControlSystem(
         name="neg",
