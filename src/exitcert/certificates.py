@@ -11,12 +11,12 @@ records the resolution it was computed at and makes no claim beyond it.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .pwl import MonotonePL
 from .systems import ConfigError, ControlSystem, SingularDynamics, TargetSet, hamiltonian
@@ -685,16 +685,78 @@ def check_supersolution(
 # weak Petrov condition
 
 
-class IntegrabilityError(ValueError):
-    """1/mu is not integrable at 0, so no finite gauge can be built."""
+def _median(values: Sequence) -> float:
+    """``np.median`` of a short list; that imports ``numpy.ma`` on first use."""
+    s = sorted(values)
+    m = len(s) // 2
+    return float(s[m]) if len(s) % 2 else (s[m - 1] + s[m]) / 2
 
-    def __init__(self, increments: list, ratios: list):
+
+class IntegrabilityError(ValueError):
+    """1/mu is not integrable, so no finite gauge can be built."""
+
+    def __init__(self, increments: list, ratios: list, message: Optional[str] = None):
         self.increments = increments
         self.ratios = ratios
         super().__init__(
-            "decade integrals of 1/mu do not decay (ratio median "
-            f"{np.median(ratios):.4f}); the gauge integral diverges at 0"
+            message
+            or "decade integrals of 1/mu do not decay (ratio median "
+            f"{_median(ratios):.4f}); the gauge integral diverges at 0"
         )
+
+
+# Adaptive composite Gauss-Legendre (Golub & Welsch, Math. Comp. 23, 1969)
+# for the gauge integrals.  A panel is accepted when its _GL_NODES-node and
+# 2*_GL_NODES-node rules agree to _GL_RTOL of the whole interval's estimate;
+# an absolute budget, unlike one relative to each panel, also resolves a
+# jump of 1/mu.  On a smooth decade of 1/sqrt or 1/r the first panel is
+# accepted; the kink of min(sqrt(r), 1) at r = 1 takes 29 panels.
+_GL_NODES = 32
+_GL_RTOL = 1e-13
+_GL_DEPTH = 50
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """Nodes of both rules in one array, and the weights of each rule."""
+    x_lo, w_lo = np.polynomial.legendre.leggauss(_GL_NODES)
+    x_hi, w_hi = np.polynomial.legendre.leggauss(2 * _GL_NODES)
+    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
+
+
+def _integrate_reciprocal(mu: Callable, a: float, b: float) -> float:
+    """Integral of 1/mu over [a, b]; mu is evaluated on arrays of radii.
+
+    A non-finite value is returned as it is, for the caller to reject.
+    Raises IntegrabilityError when a panel is still unresolved after
+    _GL_DEPTH bisections, as it is next to a pole of 1/mu.
+    """
+    nodes, w_lo, w_hi = _gauss_legendre()
+    budget = None
+    total = 0.0
+    panels = [(a, b, 0)]
+    while panels:
+        lo, hi, depth = panels.pop()
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / np.asarray(mu(mid + half * nodes), dtype=float)
+        coarse = half * float(w_lo @ inv[:_GL_NODES])
+        fine = half * float(w_hi @ inv[_GL_NODES:])
+        if not np.isfinite(coarse + fine):
+            return coarse + fine
+        if budget is None:
+            budget = _GL_RTOL * abs(fine)
+        if abs(fine - coarse) <= budget:
+            total += fine
+        elif depth < _GL_DEPTH:
+            panels += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+        else:
+            raise IntegrabilityError(
+                [], [],
+                f"1/mu is not resolved on [{lo!r}, {hi!r}] after {depth} bisections "
+                f"of [{a!r}, {b!r}]; the gauge integral may diverge there",
+            )
+    return total
 
 
 @dataclass
@@ -726,7 +788,7 @@ class PetrovReport:
 def check_weak_petrov(
     system: ControlSystem,
     target: TargetSet,
-    mu: Callable[[float], float],
+    mu: Callable[[np.ndarray], np.ndarray],
     delta: float,
     points: np.ndarray,
     *,
@@ -743,11 +805,13 @@ def check_weak_petrov(
     for the limiting gradients p of the distance at sample points with
     0 < d < delta, and the Hamiltonian margin -(1 - p0_bar) of the
     composed candidate phi(d(.)) at the same points, where the gauge
-    phi(r) is the integral of 1/mu built by decade-wise quadrature.  A
-    check that reaches no sample point fails.
+    phi(r) is the integral of 1/mu built by decade-wise quadrature.  mu
+    maps an array of radii to an array of rates.  A check that reaches
+    no sample point fails.
 
     Raises IntegrabilityError when the decade integrals of 1/mu fail to
-    decay geometrically (the gauge would diverge).
+    decay geometrically (the gauge would diverge), or when the
+    quadrature cannot resolve 1/mu on some interval.
     """
     if delta <= 0:
         raise ConfigError("delta must be positive")
@@ -782,12 +846,14 @@ def check_weak_petrov(
     increments = []
     for k in range(n_decades):
         a, b = delta * 10.0 ** (-(k + 1)), delta * 10.0 ** (-k)
-        val, _ = integrate.quad(lambda r: 1.0 / float(mu(r)), a, b, limit=200)
+        val = _integrate_reciprocal(mu, a, b)
         if not np.isfinite(val) or val < 0:
-            raise IntegrabilityError(increments + [val], [1.0])
+            raise IntegrabilityError(
+                increments + [val], [1.0], f"the integral of 1/mu over [{a!r}, {b!r}] is {val}"
+            )
         increments.append(val)
     ratios = [increments[k + 1] / increments[k] for k in range(n_decades - 5, n_decades - 1)]
-    rbar = float(np.median(ratios))
+    rbar = _median(ratios)
     if rbar >= 0.98:
         raise IntegrabilityError(increments, ratios)
     tail = increments[-1] * rbar / (1.0 - rbar)
@@ -801,8 +867,7 @@ def check_weak_petrov(
         knots_x.append(delta * 10.0 ** (-k))
         knots_y.append(acc)
     for r in np.linspace(delta / 10.0, delta, 10)[1:]:
-        seg, _ = integrate.quad(lambda t: 1.0 / float(mu(t)), knots_x[-1], r, limit=200)
-        acc += seg
+        acc += _integrate_reciprocal(mu, knots_x[-1], float(r))
         knots_x.append(float(r))
         knots_y.append(acc)
     phi = MonotonePL(np.array(knots_x), np.array(knots_y), extrapolate="linear")

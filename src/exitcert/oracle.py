@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .certificates import CandidateMrf, GridSpec
 from .pwl import bisect_root
@@ -367,8 +366,12 @@ def simulate_constant_control(
     High-accuracy reference for approach times; in two dimensions the
     polar angle is accumulated alongside the state, so the total
     winding comes out of the same integration instead of a lossy
-    post-hoc unwrap.
+    post-hoc unwrap.  The CLI never calls it; the tests use it as a
+    reference flow.  It needs scipy (DOP853 from ``solve_ivp``), which
+    only the ``dev`` extra installs.
     """
+    from scipy.integrate import solve_ivp
+
     x0 = np.asarray(x0, dtype=float)
     dim = len(x0)
     if track_winding is None:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CandidateMrf, DecreaseModulus
-from .pwl import MonotonePL, bisect_root, lift_strict, lower_strict, pwl_min
+from .pwl import MonotonePL, bisect_root, lift_strict, lower_strict, pwl_min, sorted_unique
 from .systems import (
     ConfigError,
     ControlSystem,
@@ -823,7 +823,7 @@ def build_sigma_envelopes(
         margin = grid.spacing * np.sqrt(grid.dim) * (1.0 + L)
 
     # knot levels: linear ladder plus geometric refinement near 0
-    levels = np.unique(
+    levels = sorted_unique(
         np.concatenate(
             [np.linspace(0.0, sigma, n_knots)[1:], sigma * 0.5 ** np.arange(1, 21)]
         )

@@ -286,6 +286,48 @@ def test_petrov_constant_profile_gauge_is_identity():
         assert rep.phi(r) == pytest.approx(r, rel=1e-9)
 
 
+@pytest.mark.parametrize("delta", [1.0, 1.5])
+def test_petrov_gauge_quadrature_matches_closed_form(delta):
+    # at delta = 1.5 mu = min(sqrt(r), 1) has its kink at r = 1 inside the
+    # top decade, where one fixed rule is off by about 1e-5
+    ex = petrov_demo("sqrt")
+    rep = check_weak_petrov(
+        ex.system, ex.target, _MU_PROFILES["sqrt"], delta, _petrov_points()
+    )
+    assert rep.ok
+
+    def gauge(r):
+        return 2.0 * np.sqrt(min(r, 1.0)) + max(r - 1.0, 0.0)
+
+    for k, inc in enumerate(rep.increments):
+        a, b = delta * 10.0 ** (-(k + 1)), delta * 10.0 ** (-k)
+        assert inc == pytest.approx(gauge(b) - gauge(a), rel=1e-10, abs=0.0), k
+    for x, y in zip(rep.phi.xs, rep.phi.ys):
+        assert y == pytest.approx(gauge(x), rel=1e-10, abs=0.0), x
+
+
+def _root_rate_with_pole(r):
+    # 1/mu has a non-integrable pole at r = 0.5, between the sampled decade
+    # points, so no number the quadrature could return would be right
+    return np.minimum(np.sqrt(r), 1.0) * np.abs(r - 0.5)
+
+
+def _root_rate_with_gap(r):
+    # mu = 0 on (0.02, 0.03), between the sampled decade points
+    return np.where((r > 0.02) & (r < 0.03), 0.0, np.minimum(np.sqrt(r), 1.0))
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [(_root_rate_with_pole, "not resolved"), (_root_rate_with_gap, r"over \[0\.01, 0\.1\] is inf")],
+    ids=["pole", "gap"],
+)
+def test_petrov_unresolved_reciprocal_raises(mu, message):
+    ex = petrov_demo("sqrt")
+    with pytest.raises(IntegrabilityError, match=message):
+        check_weak_petrov(ex.system, ex.target, mu, 1.0, _petrov_points())
+
+
 def test_petrov_linear_profile_diverges():
     ex = petrov_demo("linear")
     with pytest.raises(IntegrabilityError) as exc:

@@ -1,0 +1,63 @@
+"""The CLI runs without scipy, and without paying for numpy.ma.
+
+scipy serves only the reference flow the tests integrate with
+(``oracle.simulate_constant_control``).  ``np.unique``, ``np.union1d``
+and ``np.median`` import ``numpy.ma`` on their first call, so the
+pipeline avoids them.  Each check runs in a fresh interpreter, because
+this test process has imported both long before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROBE = """
+import json, sys
+import exitcert.cli
+ma_at_import = "numpy.ma" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    rc = exitcert.cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"{argv} exited {rc}")
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "ma_at_import": ma_at_import,
+    "ma_at_exit": "numpy.ma" in sys.modules,
+}))
+"""
+
+
+def _probe(calls: list) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(calls)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + "\n" + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _probe([])["scipy"] == []
+
+
+def test_minimum_time_pipeline_loads_no_scipy_and_no_numpy_ma(tmp_path):
+    # verify runs the weak-Petrov check (the gauge quadrature), and
+    # synthesize builds the distance envelopes and the pointwise minimum
+    out = str(tmp_path)
+    seen = _probe([
+        ["verify", "-c", "configs/minimum_time.yaml", "-o", out],
+        ["synthesize", "-c", "configs/minimum_time.yaml", "-o", out],
+    ])
+    assert seen["scipy"] == []
+    # a numpy that loads numpy.ma on import leaves nothing to check here
+    if not seen["ma_at_import"]:
+        assert not seen["ma_at_exit"]

@@ -15,6 +15,7 @@ from exitcert.pwl import (
     lift_strict,
     lower_strict,
     pwl_min,
+    sorted_unique,
 )
 
 
@@ -130,6 +131,16 @@ def test_scalar_branch_matches_array_path_bitwise(xs, rises, mode, extra):
             got = pl(form)
             assert type(got) is float, type(form)
             assert _same_float(got, want), (r, got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1e-300, 5e-324, 1.0, 1e300, -np.inf, np.inf])
+                | st.floats(allow_nan=False), max_size=24))
+def test_sorted_unique_matches_np_unique_bitwise(values):
+    a = np.array(values, dtype=float)
+    got, want = sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_pwl_min_matches_dense_sampling():
