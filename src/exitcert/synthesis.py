@@ -230,6 +230,7 @@ class LegStep:
     quotient: float
     s0: float
     length: float
+    s: np.ndarray       # substep offsets from the anchor: s[0] == 0, s[-1] == length
     states: np.ndarray  # (n_kept+1, dim), states[0] == anchor
     u: np.ndarray
     d: np.ndarray
@@ -249,6 +250,11 @@ class LegTimes:
     residual_max: float      # worst relative ODE residual of the t-parameterized path
 
 
+# deterministic work counters of integrate_leg, per leg and summed per state
+WORK_COUNTERS = ("rk4_substeps", "rk4_paths", "rejected_trials", "crossing_evals",
+                 "accepted_steps")
+
+
 @dataclass
 class LegResult:
     """A leg from level mu_bar down to mu_hat (or into the target collar)."""
@@ -264,6 +270,7 @@ class LegResult:
     u_sub: np.ndarray
     d_sub: np.ndarray
     a_sub: np.ndarray  # control index of the segment starting at each substep
+    work: dict         # WORK_COUNTERS -> count
     times: Optional[LegTimes] = None
 
     @property
@@ -300,11 +307,16 @@ def integrate_leg(
     the normalized field f/g with RK4.  A trial length is accepted only
     if every substep satisfies the per-step decrease
     U(z(s)) - U(anchor) <= -(s - s_anchor)/(epsilon+1); otherwise it is
-    halved (StepCollapse below the floor).  Crossing of the exit level
-    is located by bisection over the step length on the same integration
-    rule; steps whose interior already dips to the endpoint value are
-    cut at the first such substep so that node values strictly decrease.
-    Stops early with status approached_target once d(x) < d_tol.
+    halved (StepCollapse below the floor).  A step that crosses the exit
+    level keeps its trial path up to the last even node before the
+    crossing and ends on one pair of equal RK4 substeps from that node,
+    whose length is bisected until U at its end meets the level; the
+    step's substep count stays even.  Steps whose interior already dips
+    to the endpoint value are cut at the first such substep so that node
+    values strictly decrease.  Stops early with status approached_target
+    once d(x) < d_tol.  The leg's ``work`` counts RK4 paths and substeps
+    (a path that raises counts in full), rejected trial
+    lengths, crossing evaluations and accepted steps.
     """
     x0 = np.asarray(x0, dtype=float)
     if not 0 < mu_hat < mu_bar:
@@ -326,9 +338,15 @@ def integrate_leg(
     trail_u = [u0]
     trail_d = [target.d(x0)]
     trail_a = [0]
+    work = dict.fromkeys(WORK_COUNTERS, 0)
     status: Optional[TrajectoryStatus] = None
     state = x0.copy()
     s_acc = 0.0
+
+    def rk4(F, z0, length, n):
+        work["rk4_paths"] += 1
+        work["rk4_substeps"] += n
+        return _rk4_path(F, z0, length, n)
 
     while status is None:
         u_anchor = mrf.u(state)
@@ -360,17 +378,18 @@ def integrate_leg(
             if trial < delta_min:
                 raise StepCollapse(state, trial, "per-step decrease unattainable")
             try:
-                path = _rk4_path(F, state, trial, n_sub)
+                path = rk4(F, state, trial, n_sub)
             except (ModulusError, SingularDynamics):
+                work["rejected_trials"] += 1
                 trial *= 0.5
                 continue
             ds = trial * np.arange(n_sub + 1) / n_sub
             u_path = mrf.u_batch(path)
             slack = 1e-13 * (1.0 + trial)
-            if not np.all(u_path - u_anchor <= -ds / eps1 + slack):
-                trial *= 0.5
-                continue
-            if float(np.max(np.linalg.norm(path - state, axis=1))) > R * 1.0000001:
+            if not np.all(u_path - u_anchor <= -ds / eps1 + slack) or (
+                float(np.max(np.linalg.norm(path - state, axis=1))) > R * 1.0000001
+            ):
+                work["rejected_trials"] += 1
                 trial *= 0.5
                 continue
 
@@ -383,6 +402,7 @@ def integrate_leg(
             if hit_i is not None and (cross_i is None or hit_i <= cross_i):
                 # target approach: truncate at the first substep in the collar
                 length = float(ds[hit_i])
+                ds = ds[: hit_i + 1]
                 path = path[: hit_i + 1]
                 u_path = u_path[: hit_i + 1]
                 d_path = d_path[: hit_i + 1]
@@ -390,28 +410,34 @@ def integrate_leg(
                 break
 
             if cross_i is not None:
-                # exit-level crossing: bisect the step length with the same
-                # integration rule so the final path is self-consistent;
-                # the path of the returned length was integrated by the
-                # bisection itself, except after max_iter halvings
-                tried: dict = {}
+                # exit-level crossing: keep the trial path up to the last even
+                # node j before it, and bisect the length of one final pair of
+                # equal RK4 substeps from there; the kept tail is the pair the
+                # bisection ended on, so the step's substep count stays even
+                j = (cross_i - 1) - (cross_i - 1) % 2
+                s_j, z_j = float(ds[j]), path[j]
+                tails = {s_j: path[[j, j, j]]}  # bisect_root reads this zero-length pair first
 
-                def u_at(t: float) -> float:
-                    tried[t] = _rk4_path(F, state, t, n_sub)
-                    return mrf.u(tried[t][-1]) - mu_hat
+                def gap(t: float) -> float:
+                    if t not in tails:
+                        tails[t] = rk4(F, z_j, t - s_j, 2)
+                        work["crossing_evals"] += 1
+                    return mrf.u(tails[t][-1]) - mu_hat
 
-                length = bisect_root(
-                    u_at, float(ds[cross_i - 1]), float(ds[cross_i]), ftol=level_tol
-                )
-                path = tried.get(length)
-                if path is None:
-                    path = _rk4_path(F, state, length, n_sub)
+                hi = float(ds[cross_i])
+                if gap(hi) > level_tol and cross_i < n_sub:
+                    # the pair's end can miss the level the trial path met
+                    hi = float(ds[cross_i + 1])
+                length = bisect_root(gap, s_j, hi, ftol=level_tol)
+                gap(length)  # integrates only if bisect_root ran out of halvings
+                path = np.concatenate([path[:j], tails[length]])
+                ds = np.append(ds[: j + 1], [s_j + 0.5 * (length - s_j), length])
                 u_path = mrf.u_batch(path)
-                ds = length * np.arange(n_sub + 1) / n_sub
                 slack = 1e-13 * (1.0 + length)
                 if not np.all(u_path - u_anchor <= -ds / eps1 + slack):
                     # rare: the shortened step resamples a transient bump;
                     # keep halving from below the crossing bracket
+                    work["rejected_trials"] += 1
                     trial = 0.5 * length
                     continue
                 d_path = target.d_many(path)
@@ -424,6 +450,7 @@ def integrate_leg(
             kstar = int(np.where(u_path[1:] <= u_end)[0][0]) + 1
             if kstar < n_sub:
                 length = float(ds[kstar])
+                ds = ds[: kstar + 1]
                 path = path[: kstar + 1]
                 u_path = u_path[: kstar + 1]
                 d_path = d_path[: kstar + 1]
@@ -439,14 +466,14 @@ def integrate_leg(
                 quotient=choice.quotient,
                 s0=s_acc,
                 length=length,
+                s=ds,
                 states=path.copy(),
                 u=u_path.copy(),
                 d=d_path.copy(),
             )
         )
         n_new = len(path) - 1
-        sub = s_acc + length * np.arange(1, n_new + 1) / n_new
-        trail_s.extend(sub.tolist())
+        trail_s.extend((s_acc + ds[1:]).tolist())
         trail_z.extend(list(path[1:]))
         trail_u.extend(u_path[1:].tolist())
         trail_d.extend(d_path[1:].tolist())
@@ -467,6 +494,7 @@ def integrate_leg(
         u_sub=np.asarray(trail_u),
         d_sub=np.asarray(trail_d),
         a_sub=np.asarray(trail_a, dtype=int),
+        work=dict(work, accepted_steps=len(steps)),
     )
 
 
@@ -484,8 +512,10 @@ def reparam_to_time(
 
     On each step dt = ds / g with g = p0*l + m(U) evaluated along the
     stored substep states; time, cost and the modulus integral come from
-    trapezoid sums, with a coarse/fine Richardson difference as the
-    quadrature error estimate.  Also measures the worst relative
+    trapezoid sums over the step's substep widths.  On a step with an
+    even substep count, whose pairs have equal halves, the difference
+    from the trapezoid sum over pairs is the Richardson estimate of the
+    quadrature error.  Also measures the worst relative
     residual of dz/dt against f at segment midpoints, which checks that
     the reparameterized path solves the original dynamics.
     """
@@ -502,7 +532,7 @@ def reparam_to_time(
     first = True
     for st in leg.steps:
         n = len(st.states) - 1
-        h = st.length / n
+        w = np.diff(st.s)
         _, l_vals = eval_block(system, st.states, st.a_index, dynamics=False)
         m_vals = np.asarray(modulus(st.u), dtype=float)
         g_vals = p0 * l_vals + m_vals
@@ -513,17 +543,18 @@ def reparam_to_time(
         lc = l_vals * inv_g
         mc = m_vals * inv_g
 
-        dt = h * 0.5 * (inv_g[:-1] + inv_g[1:])
-        dc = h * 0.5 * (lc[:-1] + lc[1:])
-        dm = h * 0.5 * (mc[:-1] + mc[1:])
+        dt = w * 0.5 * (inv_g[:-1] + inv_g[1:])
+        dc = w * 0.5 * (lc[:-1] + lc[1:])
+        dm = w * 0.5 * (mc[:-1] + mc[1:])
         t_step = float(np.sum(dt))
         c_step = float(np.sum(dc))
         m_step = float(np.sum(dm))
 
         # Richardson: trapezoid error is about (fine - coarse) / 3
         if n >= 2 and n % 2 == 0:
-            coarse_t = float(np.sum(2 * h * 0.5 * (inv_g[:-2:2] + inv_g[2::2])))
-            coarse_c = float(np.sum(2 * h * 0.5 * (lc[:-2:2] + lc[2::2])))
+            w2 = w[0::2] + w[1::2]
+            coarse_t = float(np.sum(w2 * 0.5 * (inv_g[:-2:2] + inv_g[2::2])))
+            coarse_c = float(np.sum(w2 * 0.5 * (lc[:-2:2] + lc[2::2])))
             quad_err = max(
                 quad_err, abs(t_step - coarse_t) / 3.0, abs(c_step - coarse_c) / 3.0
             )
@@ -597,9 +628,8 @@ class SynthesisResult:
             strict_nodes = True
             for st in leg.steps:
                 n = len(st.states) - 1
-                ds = st.length * np.arange(n + 1) / n
                 step_decrease.append(
-                    float(np.max(st.u - st.u[0] + ds / (leg.epsilon + 1.0)))
+                    float(np.max(st.u - st.u[0] + st.s / (leg.epsilon + 1.0)))
                 )
                 if n > 1 and np.any(st.u[1:-1] <= st.u[-1]):
                     strict_nodes = False
@@ -615,6 +645,7 @@ class SynthesisResult:
                 "step_decrease_worst": max(step_decrease) if step_decrease else 0.0,
                 "strict_node_decrease": strict_nodes,
                 "s_bar_budget": (leg.epsilon + 1.0) * u_start,
+                "work": dict(leg.work),
             }
             if leg.times is not None:
                 tm = leg.times
@@ -645,6 +676,7 @@ class SynthesisResult:
                 None if self.cost_bound is None else bool(self.total_cost <= self.cost_bound)
             ),
             "u_max_along": float(np.max(self.trajectory.u)) if self.trajectory.n_nodes else None,
+            "work": {k: sum(leg.work[k] for leg in self.legs) for k in WORK_COUNTERS},
             "legs": per_leg,
         }
 

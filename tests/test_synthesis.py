@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import exitcert.synthesis as synthesis_mod
-from exitcert.certificates import build_decrease_modulus
+from exitcert.certificates import DecreaseModulus, build_decrease_modulus
 from exitcert.library import power_law
 from exitcert.pwl import MonotonePL
 from exitcert.synthesis import (
     FeedbackGap,
     KLBound,
+    LegResult,
+    LegStep,
     ModulusError,
     StepCollapse,
     SynthesisConfig,
@@ -17,6 +19,7 @@ from exitcert.synthesis import (
     build_sigma_envelopes,
     feedback_select,
     integrate_leg,
+    reparam_to_time,
     synthesize,
     verify_kl,
 )
@@ -121,14 +124,14 @@ def test_single_leg_reaches_its_level(mt):
 
 
 def test_crossing_step_is_integrated_once(mt, monkeypatch):
-    """The path of the crossing length comes from the bisection, not a rerun."""
-    paths = []  # (start state, length, made during a bisection) per RK4 path
-    bisections = []  # (paths before the call, evaluations, returned length)
-    in_bisection = []
+    """The crossing is bisected on one final pair of substeps, kept as integrated."""
+    paths = []  # (start state, length, substeps, returned path) per RK4 path
+    bisections = []  # (low end, evaluated lengths, returned length, paths so far)
 
     def rk4(F, z0, length, n):
-        paths.append((tuple(z0.tolist()), length, bool(in_bisection)))
-        return rk4_path(F, z0, length, n)
+        path = rk4_path(F, z0, length, n)
+        paths.append((np.array(z0), length, n, path))
+        return path
 
     def bisect(fn, lo, hi, **kw):
         evals = []
@@ -137,32 +140,117 @@ def test_crossing_step_is_integrated_once(mt, monkeypatch):
             evals.append(t)
             return fn(t)
 
-        n_before = len(paths)
-        in_bisection.append(True)
-        try:
-            root = bisect_root(counted, lo, hi, **kw)
-        finally:
-            in_bisection.pop()
-        bisections.append((n_before, len(evals), root))
+        root = bisect_root(counted, lo, hi, **kw)
+        bisections.append((lo, evals, root, len(paths)))
         return root
 
     rk4_path, bisect_root = synthesis_mod._rk4_path, synthesis_mod.bisect_root
     monkeypatch.setattr(synthesis_mod, "_rk4_path", rk4)
     monkeypatch.setattr(synthesis_mod, "bisect_root", bisect)
+    cfg = SynthesisConfig()
     leg = integrate_leg(
         mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
-        np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=SynthesisConfig(),
+        np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg,
     )
     assert leg.status == TrajectoryStatus.REACHED_LEVEL
-    assert bisections, "the leg should end on a level crossing"
-    trials = sum(not during for _, _, during in paths)
-    assert len(paths) == trials + sum(n for _, n, _ in bisections)
-    assert len({p[:2] for p in paths}) == len(paths), "a path was integrated twice"
-    for n_before, n_evals, root in bisections:
-        start = paths[n_before][0]
-        later = paths[n_before + n_evals :]
-        assert (start, root, False) not in later, "the crossing path was integrated again"
-    assert leg.steps[-1].length == bisections[-1][2]
+    assert len(bisections) == 1, "the leg should end on one level crossing"
+    lo, evals, root, n_paths = bisections[0]
+    st = leg.steps[-1]
+    n = len(st.states) - 1
+    assert n % 2 == 0, "the crossing step must keep an even substep count"
+    j = n - 2
+    assert lo == st.s[j]
+
+    # every evaluation past node j integrates 2 substeps from node j, once
+    pairs = [p for p in paths if p[2] != cfg.substeps]
+    assert pairs
+    for z0, _, n_sub, _ in pairs:
+        assert n_sub == 2
+        np.testing.assert_array_equal(z0, st.states[j])
+    evaluated = {t for t in evals if t != lo}
+    assert sorted(p[1] for p in pairs) == sorted(t - lo for t in evaluated)
+
+    # the kept tail is the pair the bisection returned, not a rerun
+    assert len(paths) == n_paths, "a path was integrated after the bisection"
+    kept = [p[3] for p in pairs if p[1] == root - lo]
+    assert len(kept) == 1
+    np.testing.assert_array_equal(st.states[j:], kept[0])
+    trial = [p[3] for p in paths if p[2] == cfg.substeps][-1]
+    np.testing.assert_array_equal(st.states[: j + 1], trial[: j + 1])
+    assert st.length == root == st.s[-1]
+    assert st.s[j + 1] == lo + 0.5 * (root - lo)
+    assert leg.work["crossing_evals"] == len(pairs)
+    assert leg.work["rk4_paths"] == len(paths)
+    assert leg.work["rk4_substeps"] == sum(p[2] for p in paths)
+
+
+def _one_step_leg(inv_g_of_s, s):
+    """A minimum_time leg of one step on the offsets s, with 1/g = inv_g_of_s(s).
+
+    With l = 1, p0 = 0.9 and m(U) = U, g = 0.9 + U, so U is chosen to
+    give the wanted 1/g at each node.
+    """
+    u = 1.0 / inv_g_of_s(s) - 0.9
+    states = (1.0 - s)[:, None]
+    step = LegStep(
+        anchor=states[0], a_index=0, p=np.array([1.0]), quotient=-1.0,
+        s0=0.0, length=float(s[-1]), s=s, states=states, u=u, d=states[:, 0],
+    )
+    return LegResult(
+        x0=states[0], mu_bar=1.0, mu_hat=0.5, epsilon=0.1,
+        status=TrajectoryStatus.REACHED_LEVEL, steps=[step], s_sub=s,
+        states_sub=states, u_sub=u, d_sub=states[:, 0], a_sub=np.zeros(len(s), dtype=int),
+        work={},
+    )
+
+
+def test_reparam_handles_a_shorter_last_pair(mt):
+    # four substeps of 0.25, then a final pair of two 0.05 halves
+    s = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.05, 1.1])
+    length = s[-1]
+    identity = DecreaseModulus(pl=MonotonePL(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+                               eta=0.1, samples=())
+    a, b, c = 1.0 / 1.8, 0.1, 0.1
+
+    # 1/g linear in s: the trapezoid sums are exact
+    leg = _one_step_leg(lambda s: a + b * s, s)
+    tm = reparam_to_time(leg, mt.ex.system, mt.ex.mrf, identity)
+    closed = a * length + b * length**2 / 2.0
+    assert tm.t_steps[0] == pytest.approx(closed, rel=1e-14, abs=0.0)
+    assert tm.cost_steps[0] == pytest.approx(closed, rel=1e-14, abs=0.0)
+    assert tm.quad_err <= 1e-15
+
+    # 1/g quadratic in s: on pairs with equal halves, the coarse/fine
+    # Richardson estimate is exactly the error of the fine trapezoid sum
+    leg = _one_step_leg(lambda s: a + c * s**2, s)
+    tm = reparam_to_time(leg, mt.ex.system, mt.ex.mrf, identity)
+    error = abs(tm.t_steps[0] - (a * length + c * length**3 / 3.0))
+    assert tm.quad_err > 1e-4
+    assert tm.quad_err == pytest.approx(error, rel=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["mt_synthesis", "ring_synthesis"])
+def test_crossing_steps_have_even_substep_counts(fixture, request):
+    res = request.getfixturevalue(fixture)
+    crossings = [leg.steps[-1] for leg in res.legs
+                 if leg.status == TrajectoryStatus.REACHED_LEVEL]
+    assert crossings
+    for st in crossings:
+        assert (len(st.states) - 1) % 2 == 0
+        assert st.s[0] == 0.0 and st.s[-1] == st.length
+        assert np.all(np.diff(st.s) > 0)
+
+
+@pytest.mark.parametrize("fixture", ["mt_synthesis", "ring_synthesis"])
+def test_work_counters_stay_below_whole_step_bisection(fixture, request):
+    """Tripwire: whole-step crossing bisection integrates over 3,000 substeps here."""
+    rep = request.getfixturevalue(fixture).report()
+    work = rep["work"]
+    assert work["rk4_substeps"] <= 1200
+    for key in work:
+        assert work[key] == sum(leg["work"][key] for leg in rep["legs"])
+    assert work["accepted_steps"] == sum(leg["n_steps"] for leg in rep["legs"])
+    assert work["rk4_paths"] >= work["accepted_steps"] + work["crossing_evals"]
 
 
 # ----------------------------------------------------------------------
