@@ -1,11 +1,11 @@
 """Command line front end.
 
 Four subcommands: ``verify`` checks a candidate restraint function on
-its band and emits a certificate report, ``synthesize`` drives the
-constructive trajectory pipeline from configured initial states,
-``oracle`` cross-checks the certified bound against a brute-force
-dynamic-programming value table, and ``report`` merges the stage
-outputs into one tree.
+its band and emits a certificate report, ``synthesize`` reads that
+report and drives the constructive trajectory pipeline from configured
+initial states, ``oracle`` cross-checks the certified bound against a
+brute-force dynamic-programming value table, and ``report`` merges the
+stage outputs into one tree.
 
 Exit codes: 0 success, 1 certificate or invariant failure, 2 config
 error, 3 numerical non-convergence.  Reports are deterministic given
@@ -17,11 +17,11 @@ the stderr log).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .certificates import (
-    BandCertificate,
     DecreaseModulus,
     IntegrabilityError,
     PositiveDefinitenessViolation,
@@ -40,7 +39,7 @@ from .certificates import (
     verify_mrf_band,
 )
 from .config import RunConfig, load_config
-from .library import _MU_PROFILES, ExampleSpec, get_example
+from .library import _MU_PROFILES, get_example
 from .oracle import NonConvergence, compare_bound, hjb_value_iteration
 from .synthesis import (
     FeedbackGap,
@@ -113,14 +112,20 @@ def write_trajectory_csv(path: Path, traj) -> None:
 
 
 def write_value_table_csv(path: Path, table) -> None:
-    """One node per row: coordinates, then the table value."""
-    X = table.grid.points()
-    dim = X.shape[1]
-    header = [f"x{i + 1}" for i in range(dim)] + ["value"]
+    """One node per row: coordinates, then the table value.
+
+    Rows run over the grid in ``points()`` order (the ``ij`` meshgrid of
+    the axes), so each axis coordinate is formatted once and the row
+    heads are their Cartesian product.
+    """
+    axes = [[repr(v) for v in ax.tolist()] for ax in table.grid.axes()]
+    header = [f"x{i + 1}" for i in range(len(axes))] + ["value"]
     lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in np.column_stack([X, table.values]).tolist())
+    heads = map(",".join, itertools.product(*axes))
+    rows = zip(heads, table.values.tolist(), strict=True)
+    lines.extend(f"{head},{value!r}" for head, value in rows)
     path.write_text("\n".join(lines) + "\n")
-    log.info("wrote %s (%d nodes)", path, X.shape[0])
+    log.info("wrote %s (%d nodes)", path, table.values.size)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -143,32 +148,41 @@ def _provenance(cfg: RunConfig, seed: int) -> dict:
     }
 
 
+# stage files merged into one report, and the verify report synthesis
+# reads, must agree with each other on these
+_SHARED_PROVENANCE = ("config_digest", "tool_version")
+
+
+def _read_stage(path: Path) -> Optional[dict]:
+    """A stage report as a dict, or None when the file does not exist."""
+    if not path.is_file():
+        return None
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _provenance_conflicts(sources: dict) -> dict:
+    """The shared provenance keys on which the named sources disagree.
+
+    Maps each such key to a ``name=value, ...`` listing of the sources;
+    empty when all agree.
+    """
+    conflicts = {}
+    for key in _SHARED_PROVENANCE:
+        seen = {name: payload.get(key) for name, payload in sources.items()}
+        if len(set(seen.values())) > 1:
+            conflicts[key] = ", ".join(f"{name}={value}" for name, value in seen.items())
+    return conflicts
+
+
 # ----------------------------------------------------------------------
-# verify stage (shared by the verify and synthesize commands)
+# verify
 
 
-@dataclass
-class VerifyOutcome:
-    example: ExampleSpec
-    cert: Optional[BandCertificate]
-    modulus: Optional[DecreaseModulus]
-    modulus_error: Optional[str]
-    supersolution: Optional[object]
-    petrov: Optional[dict]
-    rejection: Optional[dict]
-
-    @property
-    def passed(self) -> bool:
-        if self.cert is None or not self.cert.certified:
-            return False
-        if self.supersolution is not None and not self.supersolution.passed:
-            return False
-        if self.petrov is not None and not self.petrov.get("ok", False):
-            return False
-        return True
-
-
-def run_verify_stage(cfg: RunConfig, seed: int) -> VerifyOutcome:
+def _verify_report(cfg: RunConfig, seed: int) -> dict:
+    """Check the candidate on its band; returns the verify report."""
     vcfg = cfg.require("verify")
     example = get_example(cfg.system.name, **cfg.system.params)
     if example.mrf is None:
@@ -253,46 +267,37 @@ def run_verify_stage(cfg: RunConfig, seed: int) -> VerifyOutcome:
             }
             log.error("weak decrease check failed: %s", exc)
 
-    return VerifyOutcome(
-        example=example,
-        cert=cert,
-        modulus=modulus,
-        modulus_error=modulus_error,
-        supersolution=supers,
-        petrov=petrov,
-        rejection=rejection,
+    passed = bool(
+        cert is not None
+        and cert.certified
+        and (supers is None or supers.passed)
+        and (petrov is None or petrov.get("ok", False))
     )
-
-
-def _verify_report(cfg: RunConfig, seed: int, outcome: VerifyOutcome) -> dict:
-    vcfg = cfg.require("verify")
     report = _provenance(cfg, seed)
     report.update(
         {
             "kind": "verify",
-            "passed": outcome.passed,
+            "passed": passed,
             "band": {"delta": vcfg.delta, "sigma": vcfg.sigma, "margin": vcfg.margin},
             "grid": {
                 "lower": list(vcfg.grid.lower),
                 "upper": list(vcfg.grid.upper),
                 "spacing": vcfg.grid.spacing,
             },
-            "certificate": outcome.cert.to_dict() if outcome.cert is not None else None,
-            "rejection": outcome.rejection,
+            "certificate": cert.to_dict() if cert is not None else None,
+            "rejection": rejection,
             "modulus": (
                 {
-                    "knot_levels": outcome.modulus.pl.xs.tolist(),
-                    "knot_values": outcome.modulus.pl.ys.tolist(),
-                    "eta": outcome.modulus.eta,
+                    "knot_levels": modulus.pl.xs.tolist(),
+                    "knot_values": modulus.pl.ys.tolist(),
+                    "eta": modulus.eta,
                 }
-                if outcome.modulus is not None
+                if modulus is not None
                 else None
             ),
-            "modulus_error": outcome.modulus_error,
-            "supersolution": (
-                outcome.supersolution.to_dict() if outcome.supersolution is not None else None
-            ),
-            "weak_decrease": outcome.petrov,
+            "modulus_error": modulus_error,
+            "supersolution": supers.to_dict() if supers is not None else None,
+            "weak_decrease": petrov,
         }
     )
     return report
@@ -302,16 +307,17 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     seed = _effective_seed(args, cfg)
     out = _out_dir(args, cfg)
-    outcome = run_verify_stage(cfg, seed)
-    _write_json(out / "verify_report.json", _verify_report(cfg, seed, outcome))
-    if outcome.passed:
+    report = _verify_report(cfg, seed)
+    _write_json(out / "verify_report.json", report)
+    if report["passed"]:
+        cert = report["certificate"]
         print(
             f"verify: certified on [{cfg.verify.delta:g}, {cfg.verify.sigma:g}] "
-            f"(worst margin {outcome.cert.worst_h:g} over {outcome.cert.n_band} samples)"
+            f"(worst margin {cert['worst_h']:g} over {cert['n_band']} samples)"
         )
         return EXIT_OK
-    if outcome.rejection is not None:
-        print(f"verify: REJECTED ({outcome.rejection['reason']})")
+    if report["rejection"] is not None:
+        print(f"verify: REJECTED ({report['rejection']['reason']})")
     else:
         print("verify: NOT certified")
     return EXIT_FAILURE
@@ -405,6 +411,25 @@ def _synthesize_one(example, modulus, syn_cfg, sigma_cap, kl, kl_tol, idx, x0):
     return entry, traj
 
 
+def _stored_modulus(verify: dict, eta: float) -> DecreaseModulus:
+    """Rebuild the decrease modulus from a verify report's margin table.
+
+    Raises ``ValueError`` saying why when the report carries no usable
+    modulus, or when the rebuilt knots differ from the stored ones.
+    """
+    stored = verify.get("modulus")
+    if stored is None:
+        raise ValueError(verify.get("modulus_error") or "candidate was rejected outright")
+    samples = (verify.get("certificate") or {}).get("m_hat_samples") or []
+    if any(v is None for pair in samples for v in pair):
+        raise ValueError("the margin table holds a non-finite margin")
+    modulus = build_decrease_modulus(samples, eta=eta)
+    if (modulus.pl.xs.tolist() != stored.get("knot_levels")
+            or modulus.pl.ys.tolist() != stored.get("knot_values")):
+        raise ValueError("the margin table does not rebuild the stored modulus knots")
+    return modulus
+
+
 def cmd_synthesize(args) -> int:
     cfg = load_config(args.config)
     scfg = cfg.require("synthesis")
@@ -412,25 +437,36 @@ def cmd_synthesize(args) -> int:
     seed = _effective_seed(args, cfg)
     out = _out_dir(args, cfg)
 
-    outcome = run_verify_stage(cfg, seed)
-    if not outcome.passed and not args.force:
-        _write_json(out / "verify_report.json", _verify_report(cfg, seed, outcome))
+    verify = _read_stage(out / "verify_report.json")
+    if verify is None:
+        log.error("no verify_report.json in %s; run 'verify' with this config first", out)
+        print("synthesize: blocked, no verify report (run 'verify' first)")
+        return EXIT_FAILURE
+    conflicts = _provenance_conflicts(
+        {"verify_report.json": verify, "this run": _provenance(cfg, seed)}
+    )
+    if conflicts:
+        for key, listed in conflicts.items():
+            log.error("verify_report.json is from another run: %s differs (%s)", key, listed)
+        print("synthesize: blocked, verify_report.json is from another run")
+        return EXIT_FAILURE
+
+    passed = bool(verify.get("passed", False))
+    if not passed and not args.force:
         log.error(
-            "no verification certificate; re-run 'verify' to inspect, or pass --force "
+            "no verification certificate; inspect verify_report.json, or pass --force "
             "to synthesize against an uncertified candidate"
         )
         print("synthesize: blocked, candidate not certified (see verify_report.json)")
         return EXIT_FAILURE
-    if outcome.modulus is None:
-        log.error(
-            "cannot synthesize without a decrease modulus: %s",
-            outcome.modulus_error or "candidate was rejected outright",
-        )
+    try:
+        modulus = _stored_modulus(verify, vcfg.eta)
+    except ValueError as exc:
+        log.error("cannot synthesize without a decrease modulus: %s", exc)
         print("synthesize: blocked, no decrease modulus")
         return EXIT_FAILURE
 
-    example = outcome.example
-    modulus = outcome.modulus
+    example = get_example(cfg.system.name, **cfg.system.params)
     sigma_cap = scfg.band_sigma if scfg.band_sigma is not None else vcfg.sigma
 
     syn_cfg = SynthesisConfig(
@@ -479,8 +515,8 @@ def cmd_synthesize(args) -> int:
         {
             "kind": "synthesize",
             "passed": bool(all_ok),
-            "forced": bool(args.force and not outcome.passed),
-            "certified": outcome.passed,
+            "forced": bool(args.force and not passed),
+            "certified": passed,
             "epsilon": scfg.epsilon,
             "band_top": sigma_cap,
             "decay_certificate": kl_block,
@@ -626,9 +662,6 @@ _STAGE_FILES = (
     ("oracle", "oracle_report.json"),
 )
 
-# stage files merged into one report must agree on these
-_SHARED_PROVENANCE = ("config_digest", "tool_version")
-
 
 def cmd_report(args) -> int:
     if not args.out:
@@ -639,33 +672,25 @@ def cmd_report(args) -> int:
 
     merged: dict = {"schema_version": SCHEMA_VERSION, "kind": "combined", "stages": {}}
     statuses = []
-    provenance: dict = {key: {} for key in _SHARED_PROVENANCE}
+    payloads: dict = {}
     for stage, fname in _STAGE_FILES:
-        path = out / fname
-        if not path.is_file():
+        payload = _read_stage(out / fname)
+        if payload is None:
             continue
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
         merged["stages"][stage] = payload
         ok = bool(payload.get("passed", False))
         statuses.append((stage, ok))
         print(f"{stage}: {'ok' if ok else 'FAILED'}")
-        for key, seen in provenance.items():
-            seen[fname] = payload.get(key)
+        payloads[fname] = payload
 
     if not statuses:
         raise ConfigError(f"no stage reports found in {out}")
 
-    consistent = True
-    for key, seen in provenance.items():
-        if len(set(seen.values())) > 1:
-            consistent = False
-            listed = ", ".join(f"{fname}={value}" for fname, value in seen.items())
-            print(f"stage files differ in {key}: {listed}")
+    conflicts = _provenance_conflicts(payloads)
+    for key, listed in conflicts.items():
+        print(f"stage files differ in {key}: {listed}")
 
-    merged["passed"] = consistent and all(ok for _, ok in statuses)
+    merged["passed"] = not conflicts and all(ok for _, ok in statuses)
     _write_json(out / "report.json", merged)
     print(f"overall: {'ok' if merged['passed'] else 'FAILED'}")
     return EXIT_OK if merged["passed"] else EXIT_FAILURE
@@ -692,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed override for sampled audits")
     common.add_argument("--force", action="store_true",
-                        help="synthesize even without a verification certificate")
+                        help="synthesize from a verify report that did not pass "
+                        "(never from a missing one or one from another run)")
     common.add_argument("-v", "--verbose", action="count", default=0,
                         help="more stderr logging (-vv for debug)")
 

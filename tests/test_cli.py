@@ -8,11 +8,16 @@ code contract (0 ok, 1 certificate/invariant failure, 2 config error,
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exitcert.cli import main
+from exitcert.certificates import GridSpec
+from exitcert.cli import main, write_value_table_csv
 from exitcert.config import config_from_dict
 from exitcert.systems import ConfigError
 
@@ -154,6 +159,7 @@ def test_seed_override_is_recorded(tmp_path, mt_cfg):
 
 def test_synthesize_writes_trajectory_csv(tmp_path, mt_cfg):
     out = tmp_path / "out"
+    assert main(["verify", "-c", mt_cfg, "-o", str(out)]) == 0
     assert main(["synthesize", "-c", mt_cfg, "-o", str(out)]) == 0
     rep = json.loads((out / "synthesis_report.json").read_text())
     state = rep["states"][0]
@@ -189,6 +195,28 @@ def test_oracle_report_contents(tmp_path, mt_cfg):
     table = (out / "value_table.csv").read_text().splitlines()
     assert table[0] == "x1,value"
     assert len(table) == 402
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spacing=st.sampled_from([0.1, 0.05, 0.3]),
+    lower=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_value_table_matches_per_row_rendering(tmp_path_factory, spacing, lower, data):
+    extent = st.floats(0.01, 6.0).map(lambda k: k * spacing)
+    upper = [lo + data.draw(extent) for lo in lower]
+    grid = GridSpec(np.array(lower), np.array(upper), spacing)
+    values = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False), min_size=grid.n_points, max_size=grid.n_points
+    )))
+    path = tmp_path_factory.mktemp("table") / "value_table.csv"
+    write_value_table_csv(path, SimpleNamespace(grid=grid, values=values))
+
+    header = ",".join([f"x{i + 1}" for i in range(grid.dim)] + ["value"])
+    rows = np.column_stack([grid.points(), values]).tolist()
+    expected = "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+    assert path.read_text() == expected
 
 
 BAD_CONFIGS = [
@@ -237,6 +265,8 @@ def test_rejected_candidate_exits_1(tmp_path, capsys):
 def test_force_without_modulus_is_still_blocked(tmp_path, capsys):
     cfg = _write(tmp_path, REJECT_CFG)
     out = tmp_path / "out"
+    assert main(["verify", "-c", cfg, "-o", str(out)]) == 1
+    capsys.readouterr()
     assert main(["synthesize", "-c", cfg, "-o", str(out), "--force"]) == 1
     assert "no decrease modulus" in capsys.readouterr().out
 
@@ -257,6 +287,101 @@ def test_uncertified_blocks_synthesis_until_forced(tmp_path, capsys):
     assert rep["forced"] is True
     assert rep["certified"] is False
     assert rep["passed"] is True
+
+
+def test_synthesize_needs_a_verify_report(tmp_path, mt_cfg, capsys):
+    out = tmp_path / "out"
+    for extra in ([], ["--force"]):
+        assert main(["synthesize", "-c", mt_cfg, "-o", str(out), *extra]) == 1
+        assert "run 'verify' first" in capsys.readouterr().out
+    assert not (out / "verify_report.json").exists()
+    assert not (out / "synthesis_report.json").exists()
+
+
+def _verified(tmp_path, text=MT_CFG, name="run.yaml"):
+    """A config path and an output directory holding its verify report."""
+    cfg = _write(tmp_path, text, name=name)
+    out = tmp_path / "out"
+    main(["verify", "-c", cfg, "-o", str(out)])
+    return cfg, out
+
+
+def _edit_verify_report(out, edit):
+    path = out / "verify_report.json"
+    rep = json.loads(path.read_text())
+    edit(rep)
+    path.write_text(json.dumps(rep))
+
+
+def test_synthesize_refuses_a_verify_report_from_another_config(tmp_path, capsys):
+    _, out = _verified(tmp_path)
+    other = _write(tmp_path, MT_CFG.replace("epsilon: 0.1", "epsilon: 0.2"), name="other.yaml")
+    capsys.readouterr()
+    for extra in ([], ["--force"]):
+        assert main(["synthesize", "-c", other, "-o", str(out), *extra]) == 1
+        assert "from another run" in capsys.readouterr().out
+    assert not (out / "synthesis_report.json").exists()
+
+
+def test_synthesize_refuses_a_verify_report_from_another_version(tmp_path, capsys):
+    cfg, out = _verified(tmp_path)
+    _edit_verify_report(out, lambda rep: rep.update(tool_version="0.0.0"))
+    capsys.readouterr()
+    assert main(["synthesize", "-c", cfg, "-o", str(out), "--force"]) == 1
+    assert "from another run" in capsys.readouterr().out
+    assert not (out / "synthesis_report.json").exists()
+
+
+def test_synthesize_ignores_the_verify_seed(tmp_path):
+    cfg = _write(tmp_path, MT_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "-c", cfg, "-o", str(out), "--seed", "7"]) == 0
+    assert main(["synthesize", "-c", cfg, "-o", str(out)]) == 0
+
+
+def test_blocked_synthesize_leaves_the_verify_report_alone(tmp_path, capsys):
+    cfg = _write(tmp_path, STRICT_MARGIN_CFG)
+    out = tmp_path / "out"
+    # another seed than synthesize's, so a rewritten report would differ
+    assert main(["verify", "-c", cfg, "-o", str(out), "--seed", "7"]) == 1
+    before = (out / "verify_report.json").read_bytes()
+    assert main(["synthesize", "-c", cfg, "-o", str(out)]) == 1
+    assert "blocked" in capsys.readouterr().out
+    assert (out / "verify_report.json").read_bytes() == before
+
+
+def test_synthesize_refuses_edited_modulus_knots(tmp_path, capsys, caplog):
+    cfg, out = _verified(tmp_path)
+
+    def nudge(rep):
+        rep["modulus"]["knot_values"][-1] *= 1.0 + 1e-15
+
+    _edit_verify_report(out, nudge)
+    capsys.readouterr()
+    assert main(["synthesize", "-c", cfg, "-o", str(out)]) == 1
+    assert "no decrease modulus" in capsys.readouterr().out
+    assert "does not rebuild the stored modulus knots" in caplog.text
+    assert not (out / "synthesis_report.json").exists()
+
+
+def test_synthesize_blocks_on_a_missing_margin(tmp_path, capsys):
+    cfg, out = _verified(tmp_path)
+
+    def drop_margin(rep):
+        rep["certificate"]["m_hat_samples"][0][1] = None
+
+    _edit_verify_report(out, drop_margin)
+    capsys.readouterr()
+    assert main(["synthesize", "-c", cfg, "-o", str(out), "--force"]) == 1
+    assert "no decrease modulus" in capsys.readouterr().out
+
+
+def test_unreadable_stage_report_exits_2(tmp_path, mt_cfg):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "verify_report.json").write_text("{not json")
+    assert main(["synthesize", "-c", mt_cfg, "-o", str(out)]) == 2
+    assert main(["report", "-o", str(out)]) == 2
 
 
 def test_oracle_nonconvergence_exits_3(tmp_path, capsys):
