@@ -60,8 +60,10 @@ class GridSpec:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigError("grid bounds must be 1-d arrays of equal length")
-        if np.any(hi <= lo):
-            raise ConfigError("grid upper bounds must exceed lower bounds")
+        if not np.all(lo < hi):
+            raise ConfigError(
+                f"grid upper bounds {hi.tolist()} must exceed lower bounds {lo.tolist()}"
+            )
         if not (self.spacing > 0):
             raise ConfigError("grid spacing must be positive")
 
@@ -425,8 +427,6 @@ def verify_mrf_band(
     u_tol: float = 0.05,
     n_levels: int = 9,
     d_floor: float = 1e-12,
-    check_properness: bool = True,
-    estimate_constants: bool = True,
     max_violation_records: int = 32,
 ) -> BandCertificate:
     """Sample the band {delta <= U <= sigma} and certify strict H-decrease.
@@ -492,25 +492,24 @@ def verify_mrf_band(
     violations: list[Violation] = []
 
     # --- properness proxy -------------------------------------------------
-    if check_properness:
-        half = 0.5 * grid.spacing
-        face = np.zeros(len(X), dtype=bool)
-        for ax in range(grid.dim):
-            face |= X[:, ax] <= grid.lower[ax] + half
-            face |= X[:, ax] >= grid.upper[ax] - half
-        escaped = face & (D > d_tol) & (U > 0.0) & (U <= sigma)
-        if np.any(escaped):
-            idx = np.where(escaped)[0]
-            order = idx[np.argsort(U[idx])]
-            for i in order[:max_violation_records]:
-                violations.append(
-                    Violation(
-                        "properness",
-                        tuple(X[i]),
-                        float(U[i]),
-                        detail="sub-level set reaches the sampling box boundary",
-                    )
+    half = 0.5 * grid.spacing
+    face = np.zeros(len(X), dtype=bool)
+    for ax in range(grid.dim):
+        face |= X[:, ax] <= grid.lower[ax] + half
+        face |= X[:, ax] >= grid.upper[ax] - half
+    escaped = face & (D > d_tol) & (U > 0.0) & (U <= sigma)
+    if np.any(escaped):
+        idx = np.where(escaped)[0]
+        order = idx[np.argsort(U[idx])]
+        for i in order[:max_violation_records]:
+            violations.append(
+                Violation(
+                    "properness",
+                    tuple(X[i]),
+                    float(U[i]),
+                    detail="sub-level set reaches the sampling box boundary",
                 )
+            )
 
     # --- Hamiltonian decrease on the band ----------------------------------
     band = (U >= delta) & (U <= sigma) & (D > d_floor)
@@ -550,10 +549,9 @@ def verify_mrf_band(
 
     # --- constants ------------------------------------------------------------
     constants = dict(mrf.band_constants)
-    if estimate_constants:
-        constants.setdefault("L", 1.5 * max_p if max_p > 0 else 1.0)
-        rho_hat = _estimate_semiconcavity(mrf, Xb, grid.spacing)
-        constants.setdefault("rho", 1.5 * rho_hat if rho_hat > 0 else 0.0)
+    constants.setdefault("L", 1.5 * max_p if max_p > 0 else 1.0)
+    rho_hat = _estimate_semiconcavity(mrf, Xb, grid.spacing)
+    constants.setdefault("rho", 1.5 * rho_hat if rho_hat > 0 else 0.0)
 
     certified = (
         not violations

@@ -45,7 +45,6 @@ from .synthesis import (
     FeedbackGap,
     ModulusError,
     StepCollapse,
-    SynthesisConfig,
     build_kl_bound,
     build_sigma_envelopes,
     synthesize,
@@ -190,7 +189,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             f"system '{cfg.system.name}' with these parameters carries no candidate "
             "restraint function to verify"
         )
-    grid = vcfg.grid.to_spec()
+    grid = vcfg.grid
 
     cert = None
     rejection = None
@@ -280,9 +279,9 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             "passed": passed,
             "band": {"delta": vcfg.delta, "sigma": vcfg.sigma, "margin": vcfg.margin},
             "grid": {
-                "lower": list(vcfg.grid.lower),
-                "upper": list(vcfg.grid.upper),
-                "spacing": vcfg.grid.spacing,
+                "lower": grid.lower.tolist(),
+                "upper": grid.upper.tolist(),
+                "spacing": grid.spacing,
             },
             "certificate": cert.to_dict() if cert is not None else None,
             "rejection": rejection,
@@ -469,26 +468,12 @@ def cmd_synthesize(args) -> int:
     example = get_example(cfg.system.name, **cfg.system.params)
     sigma_cap = scfg.band_sigma if scfg.band_sigma is not None else vcfg.sigma
 
-    syn_cfg = SynthesisConfig(
-        epsilon=scfg.epsilon,
-        nu_ratio=scfg.nu_ratio,
-        max_levels=scfg.max_levels,
-        delta_init=scfg.delta_init,
-        substeps=scfg.substeps,
-        d_tol=scfg.d_tol,
-        level_tol_rel=scfg.level_tol_rel,
-        delta_min_rel=scfg.delta_min_rel,
-        mf_safety=scfg.mf_safety,
-        max_steps_per_leg=scfg.max_steps_per_leg,
-    )
-
     kl = None
     kl_block: Optional[dict] = None
     if cfg.kl.enabled:
-        grid = vcfg.grid.to_spec()
         try:
             sm, sp = build_sigma_envelopes(
-                example.mrf, example.target, vcfg.sigma, grid, n_knots=cfg.kl.n_knots
+                example.mrf, example.target, vcfg.sigma, vcfg.grid, n_knots=cfg.kl.n_knots
             )
             kl = build_kl_bound(sm, sp, modulus, scfg.epsilon)
             kl_block = {"bound": kl.to_dict(), "axioms": kl.validate_axioms()}
@@ -499,7 +484,7 @@ def cmd_synthesize(args) -> int:
     entries = []
     for idx, x0 in enumerate(scfg.initial_states):
         entry, traj = _synthesize_one(
-            example, modulus, syn_cfg, sigma_cap, kl, cfg.kl.tol, idx, x0
+            example, modulus, scfg, sigma_cap, kl, cfg.kl.tol, idx, x0
         )
         if traj is not None:
             fname = f"trajectory_{entry['index']}.csv"
@@ -542,7 +527,7 @@ def cmd_oracle(args) -> int:
     out = _out_dir(args, cfg)
 
     example = get_example(cfg.system.name, **cfg.system.params)
-    grid = ocfg.grid.to_spec()
+    grid = ocfg.grid
 
     pin = None
     include = None
@@ -569,9 +554,9 @@ def cmd_oracle(args) -> int:
         {
             "kind": "oracle",
             "grid": {
-                "lower": list(ocfg.grid.lower),
-                "upper": list(ocfg.grid.upper),
-                "spacing": ocfg.grid.spacing,
+                "lower": grid.lower.tolist(),
+                "upper": grid.upper.tolist(),
+                "spacing": grid.spacing,
             },
             "h": ocfg.h,
             "collar": collar_info,

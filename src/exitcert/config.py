@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
 import yaml
 
 from .certificates import GridSpec
 from .library import EXAMPLES
+from .synthesis import SynthesisConfig
 from .systems import ConfigError
 
 __all__ = [
-    "GridConfig",
     "SystemConfig",
     "VerifySection",
     "PetrovSection",
@@ -109,31 +110,19 @@ def _check_keys(raw: dict, allowed: Sequence[str], path: str) -> None:
 # sections
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    lower: tuple
-    upper: tuple
-    spacing: float
-
-    @classmethod
-    def parse(cls, raw: dict, path: str) -> "GridConfig":
-        raw = _as_mapping(raw, path)
-        _check_keys(raw, ("lower", "upper", "spacing"), path)
-        for key in ("lower", "upper", "spacing"):
-            if key not in raw:
-                _fail(path, f"missing required key '{key}'")
-        lower = _as_vector(raw["lower"], f"{path}.lower")
-        upper = _as_vector(raw["upper"], f"{path}.upper")
-        spacing = _as_float(raw["spacing"], f"{path}.spacing", lo=0.0, lo_open=True)
-        if len(lower) != len(upper):
-            _fail(path, f"lower has {len(lower)} entries but upper has {len(upper)}")
-        for i, (lo, hi) in enumerate(zip(lower, upper)):
-            if not lo < hi:
-                _fail(path, f"lower[{i}]={lo} must be < upper[{i}]={hi}")
-        return cls(lower=lower, upper=upper, spacing=spacing)
-
-    def to_spec(self) -> GridSpec:
-        return GridSpec(lower=self.lower, upper=self.upper, spacing=self.spacing)
+def _as_grid(value, path: str) -> GridSpec:
+    raw = _as_mapping(value, path)
+    _check_keys(raw, ("lower", "upper", "spacing"), path)
+    for key in ("lower", "upper", "spacing"):
+        if key not in raw:
+            _fail(path, f"missing required key '{key}'")
+    lower = _as_vector(raw["lower"], f"{path}.lower")
+    upper = _as_vector(raw["upper"], f"{path}.upper")
+    spacing = _as_float(raw["spacing"], f"{path}.spacing")
+    try:
+        return GridSpec(lower=lower, upper=upper, spacing=spacing)
+    except ConfigError as exc:
+        _fail(path, str(exc))
 
 
 @dataclass(frozen=True)
@@ -161,7 +150,7 @@ class SystemConfig:
 class VerifySection:
     delta: float
     sigma: float
-    grid: GridConfig
+    grid: GridSpec
     margin: float = 0.0
     d_tol: float = 1e-3
     u_tol: float = 0.05
@@ -186,7 +175,7 @@ class VerifySection:
         kw = dict(
             delta=delta,
             sigma=sigma,
-            grid=GridConfig.parse(raw["grid"], f"{path}.grid"),
+            grid=_as_grid(raw["grid"], f"{path}.grid"),
         )
         if "margin" in raw:
             kw["margin"] = _as_float(raw["margin"], f"{path}.margin", lo=0.0)
@@ -229,28 +218,23 @@ class PetrovSection:
         return cls(**kw)
 
 
-@dataclass(frozen=True)
-class SynthesisSection:
+@dataclass(frozen=True, kw_only=True)
+class SynthesisSection(SynthesisConfig):
+    """The integrator's tunables plus the start states and an optional band top.
+
+    Each tunable is coerced by its ``SynthesisConfig`` field type here;
+    its range is checked once, in ``SynthesisConfig.__post_init__``.
+    """
+
     initial_states: tuple
-    epsilon: float = 0.1
-    nu_ratio: float = 0.5
-    max_levels: int = 20
-    delta_init: float = 0.1
-    substeps: int = 16
-    d_tol: float = 1e-3
-    level_tol_rel: float = 1e-8
-    delta_min_rel: float = 1e-9
-    mf_safety: float = 2.0
-    max_steps_per_leg: int = 20000
     band_sigma: Optional[float] = None
 
     @classmethod
     def parse(cls, raw: dict, path: str) -> "SynthesisSection":
         raw = _as_mapping(raw, path)
-        allowed = ("initial_states", "epsilon", "nu_ratio", "max_levels", "delta_init",
-                   "substeps", "d_tol", "level_tol_rel", "delta_min_rel", "mf_safety",
-                   "max_steps_per_leg", "band_sigma")
-        _check_keys(raw, allowed, path)
+        coercers = {"float": _as_float, "int": _as_int}
+        tunables = {f.name: coercers[f.type] for f in fields(SynthesisConfig)}
+        _check_keys(raw, (*tunables, "initial_states", "band_sigma"), path)
         if "initial_states" not in raw:
             _fail(path, "missing required key 'initial_states'")
         states_raw = raw["initial_states"]
@@ -262,37 +246,18 @@ class SynthesisSection:
         if len(dims) != 1:
             _fail(f"{path}.initial_states", f"states have mixed dimensions {sorted(dims)}")
         kw: dict = {"initial_states": states}
-        if "epsilon" in raw:
-            kw["epsilon"] = _as_float(raw["epsilon"], f"{path}.epsilon", lo=0.0, lo_open=True)
-        if "nu_ratio" in raw:
-            kw["nu_ratio"] = _as_float(raw["nu_ratio"], f"{path}.nu_ratio",
-                                       lo=0.0, lo_open=True, hi=0.999)
-        if "max_levels" in raw:
-            kw["max_levels"] = _as_int(raw["max_levels"], f"{path}.max_levels", lo=1, hi=10000)
-        if "delta_init" in raw:
-            kw["delta_init"] = _as_float(raw["delta_init"], f"{path}.delta_init",
-                                         lo=0.0, lo_open=True)
-        if "substeps" in raw:
-            kw["substeps"] = _as_int(raw["substeps"], f"{path}.substeps", lo=2, hi=4096)
-            if kw["substeps"] % 2:
-                _fail(f"{path}.substeps", "must be even (error estimate halves the path)")
-        if "d_tol" in raw:
-            kw["d_tol"] = _as_float(raw["d_tol"], f"{path}.d_tol", lo=0.0, lo_open=True)
-        if "level_tol_rel" in raw:
-            kw["level_tol_rel"] = _as_float(raw["level_tol_rel"], f"{path}.level_tol_rel",
-                                            lo=0.0, lo_open=True, hi=1e-2)
-        if "delta_min_rel" in raw:
-            kw["delta_min_rel"] = _as_float(raw["delta_min_rel"], f"{path}.delta_min_rel",
-                                            lo=0.0, lo_open=True, hi=1e-2)
-        if "mf_safety" in raw:
-            kw["mf_safety"] = _as_float(raw["mf_safety"], f"{path}.mf_safety", lo=1.0)
-        if "max_steps_per_leg" in raw:
-            kw["max_steps_per_leg"] = _as_int(raw["max_steps_per_leg"],
-                                              f"{path}.max_steps_per_leg", lo=10)
-        if "band_sigma" in raw and raw["band_sigma"] is not None:
+        for name, coerce in tunables.items():
+            if name in raw:
+                kw[name] = coerce(raw[name], f"{path}.{name}")
+        if raw.get("band_sigma") is not None:
             kw["band_sigma"] = _as_float(raw["band_sigma"], f"{path}.band_sigma",
                                          lo=0.0, lo_open=True)
-        return cls(**kw)
+        try:
+            return cls(**kw)
+        except ConfigError as exc:
+            # SynthesisConfig's range messages start with the field's name
+            name, _, detail = str(exc).partition(" ")
+            _fail(f"{path}.{name}", detail)
 
 
 @dataclass(frozen=True)
@@ -317,7 +282,7 @@ class KLSection:
 
 @dataclass(frozen=True)
 class OracleSection:
-    grid: GridConfig
+    grid: GridSpec
     h: float
     iter_tol: float = 1e-8
     max_sweeps: int = 100000
@@ -335,7 +300,7 @@ class OracleSection:
             if key not in raw:
                 _fail(path, f"missing required key '{key}'")
         kw: dict = {
-            "grid": GridConfig.parse(raw["grid"], f"{path}.grid"),
+            "grid": _as_grid(raw["grid"], f"{path}.grid"),
             "h": _as_float(raw["h"], f"{path}.h", lo=0.0, lo_open=True),
         }
         if "iter_tol" in raw:
@@ -396,9 +361,10 @@ class RunConfig:
 
 
 def _as_plain(obj):
-    if isinstance(obj, (SystemConfig, VerifySection, PetrovSection, SynthesisSection,
-                        KLSection, OracleSection, OutputSection, GridConfig, RunConfig)):
+    if is_dataclass(obj):
         return {k: _as_plain(v) for k, v in vars(obj).items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _as_plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -440,8 +406,8 @@ def _cross_validate(cfg: RunConfig) -> None:
     except TypeError as exc:
         raise ConfigError(f"system.params: {exc}") from None
     dim = example.system.state_dim
-    if cfg.verify is not None and cfg.verify.grid.to_spec().dim != dim:
-        _fail("verify.grid", f"grid is {cfg.verify.grid.to_spec().dim}-d but system "
+    if cfg.verify is not None and cfg.verify.grid.dim != dim:
+        _fail("verify.grid", f"grid is {cfg.verify.grid.dim}-d but system "
                              f"'{cfg.system.name}' has state dimension {dim}")
     if cfg.synthesis is not None:
         sdim = len(cfg.synthesis.initial_states[0])
@@ -449,8 +415,8 @@ def _cross_validate(cfg: RunConfig) -> None:
             _fail("synthesis.initial_states",
                   f"states are {sdim}-d but system '{cfg.system.name}' has "
                   f"state dimension {dim}")
-    if cfg.oracle is not None and cfg.oracle.grid.to_spec().dim != dim:
-        _fail("oracle.grid", f"grid is {cfg.oracle.grid.to_spec().dim}-d but system "
+    if cfg.oracle is not None and cfg.oracle.grid.dim != dim:
+        _fail("oracle.grid", f"grid is {cfg.oracle.grid.dim}-d but system "
                              f"'{cfg.system.name}' has state dimension {dim}")
 
 

@@ -114,20 +114,24 @@ class SynthesisConfig:
     max_steps_per_leg: int = 20000
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if not 0 < self.nu_ratio < 1:
-            raise ConfigError("nu_ratio must lie in (0, 1)")
-        if self.max_levels < 1:
-            raise ConfigError("max_levels must be at least 1")
-        if self.delta_init <= 0:
-            raise ConfigError("delta_init must be positive")
-        if self.substeps < 2 or self.substeps % 2:
-            raise ConfigError("substeps must be an even number >= 2")
-        if self.d_tol <= 0:
-            raise ConfigError("d_tol must be positive")
-        if self.mf_safety < 1:
-            raise ConfigError("mf_safety must be at least 1")
+        # the one set of range checks, for library and YAML input alike;
+        # each message starts with the field's name
+        checks = (
+            ("epsilon", self.epsilon > 0, "must be > 0"),
+            ("nu_ratio", 0 < self.nu_ratio <= 0.999, "must lie in (0, 0.999]"),
+            ("max_levels", 1 <= self.max_levels <= 10000, "must lie in [1, 10000]"),
+            ("delta_init", self.delta_init > 0, "must be > 0"),
+            ("substeps", 2 <= self.substeps <= 4096 and self.substeps % 2 == 0,
+             "must be an even number in [2, 4096] (the error estimate halves the path)"),
+            ("d_tol", self.d_tol > 0, "must be > 0"),
+            ("level_tol_rel", 0 < self.level_tol_rel <= 1e-2, "must lie in (0, 0.01]"),
+            ("delta_min_rel", 0 < self.delta_min_rel <= 1e-2, "must lie in (0, 0.01]"),
+            ("mf_safety", self.mf_safety >= 1, "must be >= 1"),
+            ("max_steps_per_leg", self.max_steps_per_leg >= 1, "must be >= 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 # ----------------------------------------------------------------------
@@ -224,14 +228,11 @@ def _rk4_path(F, z0: np.ndarray, length: float, n: int) -> np.ndarray:
 class LegStep:
     """One constant-control step of a leg, sampled at the RK4 substeps."""
 
-    anchor: np.ndarray
     a_index: int
-    p: np.ndarray
-    quotient: float
-    s0: float
+    s0: float           # the leg's s-clock at the step's anchor
     length: float
     s: np.ndarray       # substep offsets from the anchor: s[0] == 0, s[-1] == length
-    states: np.ndarray  # (n_kept+1, dim), states[0] == anchor
+    states: np.ndarray  # (n_kept+1, dim), states[0] is the anchor
     u: np.ndarray
     d: np.ndarray
 
@@ -240,9 +241,8 @@ class LegStep:
 class LegTimes:
     """Physical-clock data for a leg, aligned with its substep trail."""
 
-    t_sub: np.ndarray
+    t_sub: np.ndarray        # t at the leg's start node, then at each step's kept substeps
     cost_sub: np.ndarray
-    g_sub: np.ndarray
     t_steps: np.ndarray      # duration of each step
     cost_steps: np.ndarray
     m_int_steps: np.ndarray  # integral of m(U) dt over each step
@@ -257,29 +257,32 @@ WORK_COUNTERS = ("rk4_substeps", "rk4_paths", "rejected_trials", "crossing_evals
 
 @dataclass
 class LegResult:
-    """A leg from level mu_bar down to mu_hat (or into the target collar)."""
+    """A leg from level mu_bar down to mu_hat (or into the target collar).
+
+    The leg's nodes are x0 followed by each step's states after its
+    anchor; the steps carry them, with their s offsets, U and d.
+    """
 
     x0: np.ndarray
+    u0: float          # U(x0)
     mu_bar: float
     mu_hat: float
     epsilon: float
     status: TrajectoryStatus
     steps: list
-    s_sub: np.ndarray
-    states_sub: np.ndarray
-    u_sub: np.ndarray
-    d_sub: np.ndarray
-    a_sub: np.ndarray  # control index of the segment starting at each substep
     work: dict         # WORK_COUNTERS -> count
     times: Optional[LegTimes] = None
 
     @property
     def s_bar(self) -> float:
-        return float(self.s_sub[-1]) if len(self.s_sub) else 0.0
+        if not self.steps:
+            return 0.0
+        last = self.steps[-1]
+        return float(last.s0 + last.s[-1])
 
     @property
     def u_end(self) -> float:
-        return float(self.u_sub[-1]) if len(self.u_sub) else float("nan")
+        return float(self.steps[-1].u[-1]) if self.steps else self.u0
 
     @property
     def partition(self) -> Partition:
@@ -333,11 +336,6 @@ def integrate_leg(
         raise ConfigError(f"U(x0) = {u0} exceeds the leg's top level {mu_bar}")
 
     steps: list[LegStep] = []
-    trail_s = [0.0]
-    trail_z = [x0.copy()]
-    trail_u = [u0]
-    trail_d = [target.d(x0)]
-    trail_a = [0]
     work = dict.fromkeys(WORK_COUNTERS, 0)
     status: Optional[TrajectoryStatus] = None
     state = x0.copy()
@@ -459,41 +457,20 @@ def integrate_leg(
             break
 
         steps.append(
-            LegStep(
-                anchor=state.copy(),
-                a_index=choice.a_index,
-                p=choice.p.copy(),
-                quotient=choice.quotient,
-                s0=s_acc,
-                length=length,
-                s=ds,
-                states=path.copy(),
-                u=u_path.copy(),
-                d=d_path.copy(),
-            )
+            LegStep(a_index=choice.a_index, s0=s_acc, length=length, s=ds,
+                    states=path, u=u_path, d=d_path)
         )
-        n_new = len(path) - 1
-        trail_s.extend((s_acc + ds[1:]).tolist())
-        trail_z.extend(list(path[1:]))
-        trail_u.extend(u_path[1:].tolist())
-        trail_d.extend(d_path[1:].tolist())
-        trail_a[-1] = choice.a_index  # segment leaving the previous node
-        trail_a.extend([choice.a_index] * n_new)
         s_acc += length
         state = path[-1].copy()
 
     return LegResult(
         x0=x0,
+        u0=u0,
         mu_bar=mu_bar,
         mu_hat=mu_hat,
         epsilon=config.epsilon,
         status=status,
         steps=steps,
-        s_sub=np.asarray(trail_s),
-        states_sub=np.asarray(trail_z),
-        u_sub=np.asarray(trail_u),
-        d_sub=np.asarray(trail_d),
-        a_sub=np.asarray(trail_a, dtype=int),
         work=dict(work, accepted_steps=len(steps)),
     )
 
@@ -522,14 +499,12 @@ def reparam_to_time(
     p0 = mrf.p0_bar
     t_sub = [0.0]
     cost_sub = [0.0]
-    g_sub: list[float] = []
     t_steps = []
     cost_steps = []
     m_int_steps = []
     quad_err = 0.0
     residual_max = 0.0
 
-    first = True
     for st in leg.steps:
         n = len(st.states) - 1
         w = np.diff(st.s)
@@ -578,11 +553,6 @@ def reparam_to_time(
         off_c = cost_sub[-1]
         t_sub.extend((off_t + np.cumsum(dt)).tolist())
         cost_sub.extend((off_c + np.cumsum(dc)).tolist())
-        if first:
-            g_sub.extend(g_vals.tolist())
-            first = False
-        else:
-            g_sub.extend(g_vals[1:].tolist())
         t_steps.append(t_step)
         cost_steps.append(c_step)
         m_int_steps.append(m_step)
@@ -590,7 +560,6 @@ def reparam_to_time(
     times = LegTimes(
         t_sub=np.asarray(t_sub),
         cost_sub=np.asarray(cost_sub),
-        g_sub=np.asarray(g_sub) if g_sub else np.ones(1),
         t_steps=np.asarray(t_steps),
         cost_steps=np.asarray(cost_steps),
         m_int_steps=np.asarray(m_int_steps),
@@ -633,7 +602,6 @@ class SynthesisResult:
                 )
                 if n > 1 and np.any(st.u[1:-1] <= st.u[-1]):
                     strict_nodes = False
-            u_start = float(leg.u_sub[0]) if len(leg.u_sub) else 0.0
             entry = {
                 "mu_bar": leg.mu_bar,
                 "mu_hat": leg.mu_hat,
@@ -644,7 +612,7 @@ class SynthesisResult:
                 "partition_diameter": leg.partition.diameter if leg.steps else 0.0,
                 "step_decrease_worst": max(step_decrease) if step_decrease else 0.0,
                 "strict_node_decrease": strict_nodes,
-                "s_bar_budget": (leg.epsilon + 1.0) * u_start,
+                "s_bar_budget": (leg.epsilon + 1.0) * leg.u0,
                 "work": dict(leg.work),
             }
             if leg.times is not None:
@@ -741,7 +709,6 @@ def synthesize(
     c_all = [0.0]
     u_all = [u0]
     d_all = [d0]
-    leg_of = [0]
 
     state = x0.copy()
     status = TrajectoryStatus.TRUNCATED
@@ -764,19 +731,17 @@ def synthesize(
 
         tm = leg.times
         t_off, s_off, c_off = t_all[-1], s_all[-1], c_all[-1]
-        n_new = len(leg.s_sub) - 1
-        if n_new > 0:
-            t_all.extend((t_off + tm.t_sub[1:]).tolist())
-            s_all.extend((s_off + leg.s_sub[1:]).tolist())
-            z_all.extend(list(leg.states_sub[1:]))
-            c_all.extend((c_off + tm.cost_sub[1:]).tolist())
-            u_all.extend(leg.u_sub[1:].tolist())
-            d_all.extend(leg.d_sub[1:].tolist())
-            a_all[-1] = int(leg.a_sub[0])
-            a_all.extend(leg.a_sub[1:].tolist())
-            leg_of.extend([len(legs) - 1] * n_new)
-
-        state = leg.states_sub[-1].copy()
+        t_all.extend((t_off + tm.t_sub[1:]).tolist())
+        c_all.extend((c_off + tm.cost_sub[1:]).tolist())
+        for st in leg.steps:
+            s_all.extend((s_off + (st.s0 + st.s[1:])).tolist())
+            z_all.extend(list(st.states[1:]))
+            u_all.extend(st.u[1:].tolist())
+            d_all.extend(st.d[1:].tolist())
+            a_all[-1] = st.a_index  # the segment leaving the previous node
+            a_all.extend([st.a_index] * (len(st.s) - 1))
+        if leg.steps:
+            state = leg.steps[-1].states[-1].copy()
         mu_prev = mu_k
         if leg.status == TrajectoryStatus.APPROACHED_TARGET:
             status = TrajectoryStatus.APPROACHED_TARGET
@@ -793,7 +758,6 @@ def synthesize(
         u=np.asarray(u_all),
         d=np.asarray(d_all),
         status=status,
-        leg_of=np.asarray(leg_of, dtype=int),
     )
     traj.validate()
     result = SynthesisResult(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -270,7 +270,6 @@ class Trajectory:
     u: np.ndarray
     d: np.ndarray
     status: TrajectoryStatus
-    leg_of: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
@@ -280,13 +279,11 @@ class Trajectory:
         self.cost = np.asarray(self.cost, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
-        if self.leg_of is None:
-            self.leg_of = np.zeros(len(self.t), dtype=int)
         self.validate()
 
     def validate(self) -> None:
         n = len(self.t)
-        for name in ("s", "a_index", "cost", "u", "d", "leg_of"):
+        for name in ("s", "a_index", "cost", "u", "d"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"array {name!r} length mismatch")
         if self.states.shape[0] != n:

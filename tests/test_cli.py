@@ -7,6 +7,7 @@ code contract (0 ok, 1 certificate/invariant failure, 2 config error,
 """
 
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from exitcert.certificates import GridSpec
 from exitcert.cli import main, write_value_table_csv
 from exitcert.config import config_from_dict
+from exitcert.synthesis import SynthesisConfig
 from exitcert.systems import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -219,6 +221,14 @@ def test_value_table_matches_per_row_rendering(tmp_path_factory, spacing, lower,
     assert path.read_text() == expected
 
 
+ODD_SUBSTEPS_CFG = (
+    "system: {name: minimum_time_1d}\nsynthesis: {substeps: 7, initial_states: [[1.0]]}"
+)
+REVERSED_GRID_CFG = (
+    "system: {name: minimum_time_1d}\nverify: {grid: {lower: [2.0], upper: [-2.0],"
+    " spacing: 0.5}, delta: 0.05, sigma: 1.5}"
+)
+
 BAD_CONFIGS = [
     "bogus: 1\nsystem: {name: minimum_time_1d}",
     "system: {name: no_such_system}",
@@ -229,6 +239,8 @@ BAD_CONFIGS = [
     "system: {name: minimum_time_1d}\nsynthesis: {initial_states: [[1.0, 2.0]]}",
     "system: [not, a, mapping]",
     "foo: [unclosed",
+    ODD_SUBSTEPS_CFG,
+    REVERSED_GRID_CFG,
 ]
 
 
@@ -236,6 +248,40 @@ BAD_CONFIGS = [
 def test_bad_configs_exit_2(tmp_path, text):
     cfg = _write(tmp_path, text, name="bad.yaml")
     assert main(["verify", "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, dotted", [(ODD_SUBSTEPS_CFG, "synthesis.substeps"), (REVERSED_GRID_CFG, "verify.grid")]
+)
+def test_config_errors_name_the_field(text, dotted):
+    with pytest.raises(ConfigError, match=rf"config field '{re.escape(dotted)}'"):
+        config_from_dict(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_steps_per_leg", 2),
+        ("max_steps_per_leg", 0),
+        ("nu_ratio", 0.999),
+        ("nu_ratio", 0.9995),
+        ("substeps", 4098),
+        ("max_levels", 10001),
+        ("level_tol_rel", 0.0),
+        ("delta_min_rel", 0.0),
+    ],
+)
+def test_yaml_and_library_share_synthesis_bounds(key, value):
+    """A tunable the library accepts parses from YAML; one it rejects names its field."""
+    raw = yaml.safe_load(MT_CFG)
+    raw["synthesis"][key] = value
+    try:
+        SynthesisConfig(**{key: value})
+    except ConfigError:
+        with pytest.raises(ConfigError, match=rf"config field 'synthesis\.{key}'"):
+            config_from_dict(raw)
+    else:
+        assert getattr(config_from_dict(raw).synthesis, key) == value
 
 
 @pytest.mark.parametrize("section, key", [(None, "threads"), ("synthesis", "band_delta")])

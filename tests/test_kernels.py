@@ -94,7 +94,7 @@ def test_bundled_oracle_runs_match_gauss_seidel(tmp_path, name):
     cfg = load_config(path)
     ocfg = cfg.oracle
     ex = get_example(cfg.system.name, **cfg.system.params)
-    grid = ocfg.grid.to_spec()
+    grid = ocfg.grid
     pin = ex.facts["oracle_pin"](grid.points(), ocfg.collar) if ocfg.collar > 0 else None
     ref, _ = gs_value_table(ex.system, ex.target, grid, ocfg.h, iter_tol=ocfg.iter_tol,
                             target_radius=ocfg.target_radius, pin=pin)

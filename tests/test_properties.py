@@ -70,7 +70,8 @@ def test_node_values_strictly_decrease(synth):
 
 def test_partitions_are_fine_and_monotone(synth):
     for leg in synth.legs:
-        assert np.all(np.diff(leg.s_sub) > 0)
+        s_nodes = np.concatenate([[0.0]] + [st.s0 + st.s[1:] for st in leg.steps])
+        assert np.all(np.diff(s_nodes) > 0)
         if leg.steps:
             part = leg.partition  # construction validates strict increase
             # trial lengths start at delta_init = 0.1 and are only halved

@@ -42,6 +42,12 @@ from exitcert.systems import ConfigError, TrajectoryStatus
         {"substeps": 0},
         {"d_tol": 0.0},
         {"mf_safety": 0.5},
+        {"level_tol_rel": 0.0},
+        {"delta_min_rel": 0.0},
+        {"nu_ratio": 0.9995},
+        {"substeps": 4098},
+        {"max_levels": 10001},
+        {"max_steps_per_leg": 0},
     ],
 )
 def test_synthesis_config_rejects(kwargs):
@@ -120,7 +126,8 @@ def test_single_leg_reaches_its_level(mt):
     assert leg.status == TrajectoryStatus.REACHED_LEVEL
     assert leg.u_end == pytest.approx(0.5, abs=1e-6)
     assert leg.s_bar <= (cfg.epsilon + 1.0) * 1.0 + 1e-12
-    assert np.all(np.diff(leg.s_sub) > 0)
+    s_nodes = np.concatenate([[0.0]] + [st.s0 + st.s[1:] for st in leg.steps])
+    assert np.all(np.diff(s_nodes) > 0)
 
 
 def test_crossing_step_is_integrated_once(mt, monkeypatch):
@@ -192,15 +199,11 @@ def _one_step_leg(inv_g_of_s, s):
     """
     u = 1.0 / inv_g_of_s(s) - 0.9
     states = (1.0 - s)[:, None]
-    step = LegStep(
-        anchor=states[0], a_index=0, p=np.array([1.0]), quotient=-1.0,
-        s0=0.0, length=float(s[-1]), s=s, states=states, u=u, d=states[:, 0],
-    )
+    step = LegStep(a_index=0, s0=0.0, length=float(s[-1]), s=s, states=states, u=u,
+                   d=states[:, 0])
     return LegResult(
-        x0=states[0], mu_bar=1.0, mu_hat=0.5, epsilon=0.1,
-        status=TrajectoryStatus.REACHED_LEVEL, steps=[step], s_sub=s,
-        states_sub=states, u_sub=u, d_sub=states[:, 0], a_sub=np.zeros(len(s), dtype=int),
-        work={},
+        x0=states[0], u0=float(u[0]), mu_bar=1.0, mu_hat=0.5, epsilon=0.1,
+        status=TrajectoryStatus.REACHED_LEVEL, steps=[step], work={},
     )
 
 
