@@ -30,6 +30,8 @@ __all__ = [
     "DecreaseModulus",
     "Violation",
     "PositiveDefinitenessViolation",
+    "BandSamples",
+    "sample_band",
     "BandCertificate",
     "verify_mrf_band",
     "build_decrease_modulus",
@@ -60,6 +62,8 @@ class GridSpec:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigError("grid bounds must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ConfigError(f"grid bounds {lo.tolist()} and {hi.tolist()} must be finite")
         if not np.all(lo < hi):
             raise ConfigError(
                 f"grid upper bounds {hi.tolist()} must exceed lower bounds {lo.tolist()}"
@@ -293,9 +297,42 @@ class PositiveDefinitenessViolation(ValueError):
         )
 
 
+@dataclass(frozen=True)
+class BandSamples:
+    """The band rows of a sampled block, as verification evaluated them.
+
+    ``in_band`` marks the band rows of the block; the samples are those
+    rows in block order.  ``X`` and ``U`` hold each sample's point and
+    candidate value, ``H`` the worst minimised Hamiltonian over the
+    limiting gradients there, and ``active`` one boolean mask over the
+    samples per smooth piece.
+    """
+
+    in_band: np.ndarray
+    X: np.ndarray
+    U: np.ndarray
+    H: np.ndarray
+    active: tuple
+
+    def __len__(self) -> int:
+        return len(self.U)
+
+    def among(self, rows: np.ndarray) -> "BandSamples":
+        """The band samples of the block made of the given rows of this one, in their order."""
+        in_band = self.in_band[rows]
+        pos = (np.cumsum(self.in_band) - 1)[rows[in_band]]
+        return BandSamples(
+            in_band, self.X[pos], self.U[pos], self.H[pos], tuple(act[pos] for act in self.active)
+        )
+
+
 @dataclass
 class BandCertificate:
-    """Outcome of a sampled band verification."""
+    """Outcome of a sampled band verification.
+
+    ``samples`` keeps the evaluated band for the supersolution check; it
+    is not part of the report.
+    """
 
     certified: bool
     delta: float
@@ -311,6 +348,7 @@ class BandCertificate:
     constants: dict
     posdef: dict
     notes: list
+    samples: BandSamples = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -335,16 +373,29 @@ class BandCertificate:
 # batch helpers
 
 
-def _band_hamiltonians(
-    system: ControlSystem, mrf: CandidateMrf, Xb: np.ndarray, Ub: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Worst (largest) H over limiting gradients at every band point.
+def sample_band(
+    system: ControlSystem,
+    mrf: CandidateMrf,
+    X: np.ndarray,
+    U: np.ndarray,
+    D: np.ndarray,
+    delta: float,
+    sigma: float,
+    *,
+    d_floor: float = 1e-12,
+) -> tuple[BandSamples, float]:
+    """Evaluate the band rows {delta <= U <= sigma, D > d_floor} of a block.
 
-    Returns the per-point worst H and the largest sampled gradient norm.
+    U and D are the candidate and the target distance at the rows of X.
+    Each sample's H is the largest over the limiting gradients there.
+    Returns the samples and the largest sampled gradient norm.
     """
+    in_band = (U >= delta) & (U <= sigma) & (D > d_floor)
+    Xb, Ub = X[in_band], U[in_band]
+    masks = mrf.active_masks(Xb, Ub)
     worst = np.full(len(Xb), -np.inf)
     max_p = 0.0
-    for piece, act in zip(mrf.smooth_pieces, mrf.active_masks(Xb, Ub)):
+    for piece, act in zip(mrf.smooth_pieces, masks):
         idx = np.flatnonzero(act)
         if idx.size == 0:
             continue
@@ -359,7 +410,7 @@ def _band_hamiltonians(
             f"no active smooth piece at band point x={bad.tolist()}; "
             "check piece regions and act_tol"
         )
-    return worst, max_p
+    return BandSamples(in_band, Xb, Ub, worst, tuple(masks)), max_p
 
 
 def _worst_gradients(
@@ -512,14 +563,13 @@ def verify_mrf_band(
             )
 
     # --- Hamiltonian decrease on the band ----------------------------------
-    band = (U >= delta) & (U <= sigma) & (D > d_floor)
-    n_band = int(band.sum())
+    samples, max_p = sample_band(system, mrf, X, U, D, delta, sigma, d_floor=d_floor)
+    n_band = len(samples)
     if n_band == 0:
         raise ConfigError(
             f"no grid samples in the band [{delta}, {sigma}]; refine the grid or widen the band"
         )
-    Xb, Ub = X[band], U[band]
-    H, max_p = _band_hamiltonians(system, mrf, Xb, Ub)
+    Xb, Ub, H = samples.X, samples.U, samples.H
 
     worst_h = float(np.max(H))
     hot = H >= -margin
@@ -578,6 +628,7 @@ def verify_mrf_band(
         constants=constants,
         posdef=posdef,
         notes=notes,
+        samples=samples,
     )
     log.info(
         "band verification of %s on [%g, %g]: %s (worst H %.3g over %d samples)",
@@ -616,65 +667,42 @@ class SupersolutionReport:
 
 
 def check_supersolution(
-    system: ControlSystem,
     mrf: CandidateMrf,
     modulus: DecreaseModulus,
-    points: np.ndarray,
+    samples: BandSamples,
     *,
-    band: Optional[tuple] = None,
-    target: Optional[TargetSet] = None,
-    d_floor: float = 1e-12,
     tol: float = 0.0,
     max_records: int = 32,
 ) -> SupersolutionReport:
     """Check H(x, p0_bar, grad U(x)) <= -m(U(x)) at differentiability points.
 
-    Points where several pieces are active (or none) are skipped and
-    counted; the inequality there is the band certificate's job.  When a
-    target is supplied, points within d_floor of it are dropped (the
-    dynamics may be singular on the target boundary).  A check that
-    reaches no point fails: it certifies nothing.
+    Works from the band as ``sample_band`` evaluated it: where exactly
+    one piece is active, the sample's worst H is that piece's H, so the
+    margin is H + m(U).  Samples where several pieces are active are
+    skipped and counted; the inequality there is the band certificate's
+    job.  Gradients are evaluated only at the recorded failures, piece
+    by piece.  A check that reaches no sample fails: it certifies
+    nothing.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    U = mrf.u_batch(X)
-    keep = np.isfinite(U)
-    if band is not None:
-        lo, hi = band
-        keep &= (U >= lo) & (U <= hi)
-    if target is not None:
-        keep &= target.d_many(X) > d_floor
-    X, U = X[keep], U[keep]
-
-    n_checked = 0
-    worst = -np.inf
+    idx = np.flatnonzero(np.count_nonzero(samples.active, axis=0) == 1)
+    margins = samples.H[idx] + modulus(samples.U[idx])
+    bad = margins > tol
     failures: list[Violation] = []
-
-    piece_masks = mrf.active_masks(X, U)
-    unique = np.sum(piece_masks, axis=0) == 1
-    n_skipped = int(np.sum(~unique))
-    for piece, act in zip(mrf.smooth_pieces, piece_masks):
-        sel = act & unique
-        if not np.any(sel):
-            continue
-        P = np.asarray(piece.batch_gradient(X[sel]), dtype=float)
-        H = hamiltonian(system, X[sel], mrf.p0_bar, P)
-        marg = H + modulus(U[sel])
-        n_checked += int(sel.sum())
-        worst = max(worst, float(np.max(marg)))
-        for i in np.where(marg > tol)[0][: max_records - len(failures)]:
-            xi = X[sel][i]
-            failures.append(
-                Violation("supersolution", tuple(xi), float(marg[i]), p=tuple(P[i]))
-            )
+    for piece, act in zip(mrf.smooth_pieces, samples.active):
+        k = np.flatnonzero(bad & act[idx])[: max_records - len(failures)]
+        if k.size:
+            Xf = samples.X[idx[k]]
+            P = np.asarray(piece.batch_gradient(Xf), dtype=float)
+            failures += [
+                Violation("supersolution", x, m, p=p) for x, m, p in zip(Xf, margins[k], P)
+            ]
 
     return SupersolutionReport(
-        passed=not failures and n_checked > 0,
-        n_points=len(X),
-        n_checked=n_checked,
-        n_skipped=n_skipped,
-        worst_margin=worst if np.isfinite(worst) else float("nan"),
+        passed=not failures and idx.size > 0,
+        n_points=len(samples),
+        n_checked=int(idx.size),
+        n_skipped=len(samples) - int(idx.size),
+        worst_margin=float(np.max(margins)) if idx.size else float("nan"),
         failures=failures,
     )
 

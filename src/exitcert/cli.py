@@ -225,18 +225,13 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             modulus_error = str(exc)
             log.warning("no decrease modulus: %s", exc)
         if cert.certified and modulus is not None and vcfg.supersolution:
-            X = grid.points()
-            if X.shape[0] > vcfg.max_points:
+            samples = cert.samples
+            if cert.n_grid > vcfg.max_points:
+                # the band rows among a seeded draw of grid rows, in draw order
                 rng = np.random.default_rng(seed)
-                X = X[rng.choice(X.shape[0], size=vcfg.max_points, replace=False)]
-            supers = check_supersolution(
-                example.system,
-                example.mrf,
-                modulus,
-                X,
-                band=(vcfg.delta, vcfg.sigma),
-                target=example.target,
-            )
+                draw = rng.choice(cert.n_grid, size=vcfg.max_points, replace=False)
+                samples = samples.among(draw)
+            supers = check_supersolution(example.mrf, modulus, samples)
             log.info(
                 "supersolution check: %s (worst margin %.3g over %d points)",
                 "ok" if supers.passed else "FAILED",

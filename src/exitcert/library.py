@@ -275,10 +275,15 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         return eps * (4.0 - rho)
 
     def u_batch(Z):
+        # each piece on its own rows only: np.select would evaluate all three
+        # everywhere, and np.power of a negative base is slow
         rho = np.hypot(Z[:, 0], Z[:, 1])
-        return np.select(
-            [rho < 2.0, rho < 3.0], [u_inner(rho), u_middle(rho)], default=u_outer(rho)
-        )
+        inner = rho < 2.0
+        middle = ~inner & (rho < 3.0)
+        out = u_outer(rho)
+        out[inner] = u_inner(rho[inner])
+        out[middle] = u_middle(rho[middle])
+        return out
 
     def u_at(z) -> float:
         rho = float(np.hypot(z[0], z[1]))

@@ -14,6 +14,7 @@ from exitcert.certificates import (
     build_decrease_modulus,
     check_supersolution,
     check_weak_petrov,
+    sample_band,
     verify_mrf_band,
 )
 from exitcert.library import _MU_PROFILES, petrov_demo, power_law, spiral
@@ -37,6 +38,8 @@ def test_gridspec_validation():
         GridSpec(np.array([1.0]), np.array([0.0]), 0.1)
     with pytest.raises(ConfigError):
         GridSpec(np.array([0.0]), np.array([1.0]), 0.0)
+    with pytest.raises(ConfigError, match="must be finite"):
+        GridSpec(np.array([-np.inf]), np.array([1.0]), 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -207,19 +210,22 @@ def test_hamiltonian_record_carries_the_violating_piece_gradient(mt, shallow_fir
 # supersolution spot check
 
 
+def _band(ex, pts, band):
+    """The band samples of a point block, as verification evaluates them."""
+    samples, _ = sample_band(
+        ex.system, ex.mrf, pts, ex.mrf.u_batch(pts), ex.target.d_many(pts), *band
+    )
+    return samples
+
+
 def test_supersolution_holds_with_certified_modulus(mt):
     pts = mt.grid.points()
-    rep = check_supersolution(
-        mt.ex.system, mt.ex.mrf, mt.modulus, pts,
-        band=(mt.delta, mt.sigma), target=mt.ex.target,
-    )
+    rep = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, pts, (mt.delta, mt.sigma)))
     assert rep.passed
     assert rep.n_checked > 0
     assert rep.worst_margin < 0
     # U <= 2 on the grid, so this band holds no point: nothing is certified
-    empty = check_supersolution(
-        mt.ex.system, mt.ex.mrf, mt.modulus, pts, band=(2.5, 3.0), target=mt.ex.target,
-    )
+    empty = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, pts, (2.5, 3.0)))
     assert empty.n_checked == 0
     assert not empty.passed
 
@@ -227,10 +233,7 @@ def test_supersolution_holds_with_certified_modulus(mt):
 def test_supersolution_fails_with_inflated_modulus(mt):
     inflated = build_decrease_modulus([(lev, 50.0) for lev, _ in mt.cert.m_hat_samples])
     pts = mt.grid.points()
-    rep = check_supersolution(
-        mt.ex.system, mt.ex.mrf, inflated, pts,
-        band=(mt.delta, mt.sigma), target=mt.ex.target,
-    )
+    rep = check_supersolution(mt.ex.mrf, inflated, _band(mt.ex, pts, (mt.delta, mt.sigma)))
     assert not rep.passed
     assert rep.failures
     assert rep.failures[0].kind == "supersolution"
@@ -241,9 +244,7 @@ def test_supersolution_caps_failures_in_total():
     ex = spiral(epsilon=0.5)
     inflated = build_decrease_modulus([(0.5, 50.0), (1.0, 50.0), (1.4, 50.0)])
     pts = GridSpec(np.array([-4.2, -4.2]), np.array([4.2, 4.2]), 0.1).points()
-    rep = check_supersolution(
-        ex.system, ex.mrf, inflated, pts, band=(0.05, 1.3), target=ex.target
-    )
+    rep = check_supersolution(ex.mrf, inflated, _band(ex, pts, (0.05, 1.3)))
     assert not rep.passed
     assert rep.n_checked > 3 * 32
     assert len(rep.failures) == 32

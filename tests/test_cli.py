@@ -6,6 +6,7 @@ code contract (0 ok, 1 certificate/invariant failure, 2 config error,
 3 non-convergence), report determinism, and the CSV export format.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -17,9 +18,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exitcert.certificates
+import exitcert.cli
 from exitcert.certificates import GridSpec
 from exitcert.cli import main, write_value_table_csv
 from exitcert.config import config_from_dict
+from exitcert.library import get_example
 from exitcert.synthesis import SynthesisConfig
 from exitcert.systems import ConfigError
 
@@ -144,6 +148,86 @@ def test_petrov_candidate_supersolution_checks_points(tmp_path):
     assert supers["worst_margin"] < 0
 
 
+# spiral on a coarse grid: 6,889 points, 4,454 of them in the band
+SPIRAL_COARSE_CFG = """\
+seed: 0
+system:
+  name: spiral
+  params: {epsilon: 0.5, k_const: 1.0, p0_bar: 1.0}
+verify:
+  delta: 0.05
+  sigma: 1.3333333333333333
+  grid: {lower: [-4.1, -4.1], upper: [4.1, 4.1], spacing: 0.1}
+"""
+
+
+def test_supersolution_subsamples_the_band_by_seed(tmp_path):
+    cfg = _write(tmp_path, SPIRAL_COARSE_CFG + "  max_points: 1000\n")
+    out = tmp_path / "out"
+    assert main(["verify", "-c", cfg, "-o", str(out)]) == 0
+    rep = json.loads((out / "verify_report.json").read_text())
+    supers = rep["supersolution"]
+
+    ex = get_example("spiral", epsilon=0.5, k_const=1.0, p0_bar=1.0)
+    X = GridSpec(np.array([-4.1, -4.1]), np.array([4.1, 4.1]), 0.1).points()
+    U = ex.mrf.u_batch(X)
+    band = (U >= 0.05) & (U <= 1.3333333333333333) & (ex.target.d_many(X) > 1e-12)
+    draw = np.random.default_rng(0).choice(len(X), size=1000, replace=False)
+    assert supers["n_points"] == int(band[draw].sum())
+    assert supers["n_checked"] + supers["n_skipped"] == supers["n_points"]
+    assert supers["n_points"] < rep["certificate"]["n_band"]
+    assert supers == {
+        "failures": [],
+        "n_checked": 657,
+        "n_points": 662,
+        "n_skipped": 5,
+        "passed": True,
+        "worst_margin": -2.5297281373074423e-08,
+    }
+
+
+def test_verify_evaluates_the_grid_once(tmp_path, monkeypatch):
+    """One full-grid evaluation of U per verify, and no Hamiltonian in the supersolution check."""
+    cfg = _write(tmp_path, SPIRAL_COARSE_CFG)
+    n_grid = 83 * 83
+    full_grid_calls = []
+    h_calls = []
+    h_calls_in_check = []
+
+    def counting_example(name, **params):
+        ex = get_example(name, **params)
+        batch_value = ex.mrf.batch_value
+
+        def counted(X):
+            if len(X) == n_grid:
+                full_grid_calls.append(1)
+            return batch_value(X)
+
+        return dataclasses.replace(ex, mrf=dataclasses.replace(ex.mrf, batch_value=counted))
+
+    hamiltonian = exitcert.certificates.hamiltonian
+
+    def counting_hamiltonian(*args, **kwargs):
+        h_calls.append(1)
+        return hamiltonian(*args, **kwargs)
+
+    check = exitcert.cli.check_supersolution
+
+    def watched_check(*args, **kwargs):
+        before = len(h_calls)
+        result = check(*args, **kwargs)
+        h_calls_in_check.append(len(h_calls) - before)
+        return result
+
+    monkeypatch.setattr(exitcert.cli, "get_example", counting_example)
+    monkeypatch.setattr(exitcert.certificates, "hamiltonian", counting_hamiltonian)
+    monkeypatch.setattr(exitcert.cli, "check_supersolution", watched_check)
+    assert main(["verify", "-c", cfg, "-o", str(tmp_path / "out")]) == 0
+    assert len(full_grid_calls) == 1
+    assert h_calls, "the band check evaluates H through certificates.hamiltonian"
+    assert h_calls_in_check == [0]
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, mt_cfg):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -228,6 +312,10 @@ REVERSED_GRID_CFG = (
     "system: {name: minimum_time_1d}\nverify: {grid: {lower: [2.0], upper: [-2.0],"
     " spacing: 0.5}, delta: 0.05, sigma: 1.5}"
 )
+INFINITE_GRID_CFG = (
+    "system: {name: minimum_time_1d}\nverify: {grid: {lower: [-.inf], upper: [2.0],"
+    " spacing: 0.5}, delta: 0.05, sigma: 1.5}"
+)
 
 BAD_CONFIGS = [
     "bogus: 1\nsystem: {name: minimum_time_1d}",
@@ -241,6 +329,7 @@ BAD_CONFIGS = [
     "foo: [unclosed",
     ODD_SUBSTEPS_CFG,
     REVERSED_GRID_CFG,
+    INFINITE_GRID_CFG,
 ]
 
 
@@ -251,7 +340,12 @@ def test_bad_configs_exit_2(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "text, dotted", [(ODD_SUBSTEPS_CFG, "synthesis.substeps"), (REVERSED_GRID_CFG, "verify.grid")]
+    "text, dotted",
+    [
+        (ODD_SUBSTEPS_CFG, "synthesis.substeps"),
+        (REVERSED_GRID_CFG, "verify.grid"),
+        (INFINITE_GRID_CFG, "verify.grid"),
+    ],
 )
 def test_config_errors_name_the_field(text, dotted):
     with pytest.raises(ConfigError, match=rf"config field '{re.escape(dotted)}'"):
