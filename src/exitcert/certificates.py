@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .pwl import MonotonePL
+from .pwl import MonotonePL, level_max
 from .systems import ConfigError, ControlSystem, SingularDynamics, TargetSet, hamiltonian
 
 log = logging.getLogger(__name__)
@@ -41,6 +41,11 @@ __all__ = [
     "PetrovReport",
     "check_weak_petrov",
 ]
+
+# A sample counts as off the target only where d(x) > D_FLOOR: a grid
+# point within rounding error of the target boundary is a target point
+# as far as floats can tell, and the sign of H there is noise.
+D_FLOOR = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +252,7 @@ def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> Decreas
 
     xs = np.concatenate(([0.0], levels))
     ys = np.concatenate(([0.0], w))
-    pl = MonotonePL(xs, ys, extrapolate="linear")
+    pl = MonotonePL(xs, ys)
     if not pl.is_strictly_increasing:
         raise ValueError("modulus construction produced a flat segment")
     return DecreaseModulus(pl=pl, eta=eta, samples=tuple(pairs))
@@ -381,16 +386,14 @@ def sample_band(
     D: np.ndarray,
     delta: float,
     sigma: float,
-    *,
-    d_floor: float = 1e-12,
 ) -> tuple[BandSamples, float]:
-    """Evaluate the band rows {delta <= U <= sigma, D > d_floor} of a block.
+    """Evaluate the band rows {delta <= U <= sigma, D > D_FLOOR} of a block.
 
     U and D are the candidate and the target distance at the rows of X.
     Each sample's H is the largest over the limiting gradients there.
     Returns the samples and the largest sampled gradient norm.
     """
-    in_band = (U >= delta) & (U <= sigma) & (D > d_floor)
+    in_band = (U >= delta) & (U <= sigma) & (D > D_FLOOR)
     Xb, Ub = X[in_band], U[in_band]
     masks = mrf.active_masks(Xb, Ub)
     worst = np.full(len(Xb), -np.inf)
@@ -477,7 +480,6 @@ def verify_mrf_band(
     d_tol: float = 1e-3,
     u_tol: float = 0.05,
     n_levels: int = 9,
-    d_floor: float = 1e-12,
     max_violation_records: int = 32,
 ) -> BandCertificate:
     """Sample the band {delta <= U <= sigma} and certify strict H-decrease.
@@ -490,9 +492,7 @@ def verify_mrf_band(
     sample.  The sampled margins are aggregated into the level table
     m_hat(level) = -max{H : U >= level}, non-decreasing by construction.
 
-    Band membership requires d(x) > d_floor: a grid point landing within
-    rounding error of the target boundary is a target point as far as
-    floats can tell, and the sign of H there is noise.
+    Band membership requires d(x) > D_FLOOR.
     """
     if not 0 < delta < sigma:
         raise ConfigError(f"need 0 < delta < sigma, got delta={delta}, sigma={sigma}")
@@ -563,7 +563,7 @@ def verify_mrf_band(
             )
 
     # --- Hamiltonian decrease on the band ----------------------------------
-    samples, max_p = sample_band(system, mrf, X, U, D, delta, sigma, d_floor=d_floor)
+    samples, max_p = sample_band(system, mrf, X, U, D, delta, sigma)
     n_band = len(samples)
     if n_band == 0:
         raise ConfigError(
@@ -584,18 +584,13 @@ def verify_mrf_band(
             notes.append(f"{int(hot.sum())} hamiltonian violations, first {max_violation_records} recorded")
 
     # --- margin table -------------------------------------------------------
-    order = np.argsort(Ub, kind="stable")
-    U_sorted = Ub[order]
-    H_sorted = H[order]
-    suffix_max = np.maximum.accumulate(H_sorted[::-1])[::-1]
     levels = np.linspace(delta, sigma, n_levels)
     m_hat_samples: list[tuple[float, float]] = []
-    for lev in levels:
-        j = int(np.searchsorted(U_sorted, lev, side="left"))
-        if j >= len(U_sorted):
+    for lev, m in zip(levels, -level_max(levels, Ub, H, above=True)):
+        if np.isnan(m):
             notes.append(f"no band samples at or above level {lev}; level skipped")
             continue
-        m_hat_samples.append((float(lev), float(-suffix_max[j])))
+        m_hat_samples.append((float(lev), float(m)))
 
     # --- constants ------------------------------------------------------------
     constants = dict(mrf.band_constants)
@@ -896,7 +891,7 @@ def check_weak_petrov(
         acc += _integrate_reciprocal(mu, knots_x[-1], float(r))
         knots_x.append(float(r))
         knots_y.append(acc)
-    phi = MonotonePL(np.array(knots_x), np.array(knots_y), extrapolate="linear")
+    phi = MonotonePL(np.array(knots_x), np.array(knots_y))
 
     # directional decrease of the distance at every (point, gradient) pair
     D = target.d_many(X)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -52,6 +53,9 @@ def _as_float(value, path: str, *, lo: Optional[float] = None, hi: Optional[floa
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        # NaN compares false against every bound, and a NaN tolerance silently skips its check
+        _fail(path, f"must be finite, got {v}")
     if lo is not None and (v < lo or (lo_open and v == lo)):
         _fail(path, f"must be {'>' if lo_open else '>='} {lo}, got {v}")
     if hi is not None and v > hi:

@@ -299,27 +299,29 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         return (scale(rho) / rho)[:, None] * Z
 
     gtol = 1e-12
+
+    def _in_ring(Z, lo, hi):
+        rho = np.hypot(Z[:, 0], Z[:, 1])
+        return (rho >= lo - gtol) & (rho <= hi + gtol)
+
     pieces = (
         SmoothPiece(
             name="inner",
             batch_value=lambda Z: u_inner(np.hypot(Z[:, 0], Z[:, 1])),
             batch_gradient=lambda Z: _radial(Z, lambda rho: (rho - 1.0) ** 2),
-            batch_region=lambda Z: (np.hypot(Z[:, 0], Z[:, 1]) >= 1.0 - gtol)
-            & (np.hypot(Z[:, 0], Z[:, 1]) <= 2.0 + gtol),
+            batch_region=lambda Z: _in_ring(Z, 1.0, 2.0),
         ),
         SmoothPiece(
             name="middle",
             batch_value=lambda Z: u_middle(np.hypot(Z[:, 0], Z[:, 1])),
             batch_gradient=lambda Z: _radial(Z, lambda rho: -eps - (3.0 - rho) ** 2),
-            batch_region=lambda Z: (np.hypot(Z[:, 0], Z[:, 1]) >= 2.0 - gtol)
-            & (np.hypot(Z[:, 0], Z[:, 1]) <= 3.0 + gtol),
+            batch_region=lambda Z: _in_ring(Z, 2.0, 3.0),
         ),
         SmoothPiece(
             name="outer",
             batch_value=lambda Z: u_outer(np.hypot(Z[:, 0], Z[:, 1])),
             batch_gradient=lambda Z: _radial(Z, lambda rho: -eps + 0.0 * rho),
-            batch_region=lambda Z: (np.hypot(Z[:, 0], Z[:, 1]) >= 3.0 - gtol)
-            & (np.hypot(Z[:, 0], Z[:, 1]) <= 4.0 + gtol),
+            batch_region=lambda Z: _in_ring(Z, 3.0, 4.0),
         ),
     )
     mrf = CandidateMrf(

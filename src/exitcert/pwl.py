@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "MonotonePL",
     "sorted_unique",
+    "level_max",
     "pwl_min",
     "lift_strict",
     "lower_strict",
@@ -30,10 +31,7 @@ class MonotonePL:
     """Non-decreasing piecewise-linear function given by knots (xs, ys).
 
     xs must be strictly increasing.  Between knots the value is linear;
-    outside the knot range behaviour is controlled by ``extrapolate``:
-
-    * ``"linear"`` - continue with the first/last segment slope,
-    * ``"clamp"``  - hold the end values constant.
+    outside the knot range it continues with the first/last segment slope.
 
     A float, numpy scalar or 0-d array is evaluated in plain Python on
     knot lists cached at construction; the result is bit for bit what
@@ -42,7 +40,6 @@ class MonotonePL:
 
     xs: np.ndarray
     ys: np.ndarray
-    extrapolate: str = "linear"
     _xl: list = field(init=False, repr=False, compare=False)
     _yl: list = field(init=False, repr=False, compare=False)
     _lo_slope: float = field(init=False, repr=False, compare=False)
@@ -68,8 +65,6 @@ class MonotonePL:
         if not np.all(np.isfinite(slopes)):
             # np.interp and the end-slope extrapolation would return inf
             raise ValueError("a segment slope overflows: knot abscissae too close")
-        if self.extrapolate not in ("linear", "clamp"):
-            raise ValueError(f"unknown extrapolation mode {self.extrapolate!r}")
         object.__setattr__(self, "_xl", xs.tolist())
         object.__setattr__(self, "_yl", ys.tolist())
         object.__setattr__(self, "_lo_slope", float(slopes[0]))
@@ -82,24 +77,18 @@ class MonotonePL:
         if isinstance(r, float) or np.ndim(r) == 0:
             return self._at(float(r))
         r_arr = np.asarray(r, dtype=float)
-        out = np.interp(r_arr, self.xs, self.ys)
-        if self.extrapolate == "linear":
-            xs, ys = self.xs, self.ys
-            out = np.where(r_arr < xs[0], ys[0] + self._lo_slope * (r_arr - xs[0]), out)
-            out = np.where(r_arr > xs[-1], ys[-1] + self._hi_slope * (r_arr - xs[-1]), out)
-        return out
+        xs, ys = self.xs, self.ys
+        out = np.interp(r_arr, xs, ys)
+        out = np.where(r_arr < xs[0], ys[0] + self._lo_slope * (r_arr - xs[0]), out)
+        return np.where(r_arr > xs[-1], ys[-1] + self._hi_slope * (r_arr - xs[-1]), out)
 
     def _at(self, r: float) -> float:
         """One point, with np.interp's arithmetic and the array path's end rule."""
         xs, ys = self._xl, self._yl
         if r < xs[0]:
-            if self.extrapolate == "linear":
-                return ys[0] + self._lo_slope * (r - xs[0])
-            return ys[0]
+            return ys[0] + self._lo_slope * (r - xs[0])
         if r > xs[-1]:
-            if self.extrapolate == "linear":
-                return ys[-1] + self._hi_slope * (r - xs[-1])
-            return ys[-1]
+            return ys[-1] + self._hi_slope * (r - xs[-1])
         if r != r:
             return r  # NaN in, NaN out
         j = bisect_right(xs, r) - 1
@@ -133,7 +122,7 @@ class MonotonePL:
         """
         if not self.is_strictly_increasing:
             raise ValueError("cannot invert: function has a flat segment")
-        return MonotonePL(self.ys.copy(), self.xs.copy(), extrapolate=self.extrapolate)
+        return MonotonePL(self.ys.copy(), self.xs.copy())
 
     @classmethod
     def identity(cls, xs: Sequence[float]) -> "MonotonePL":
@@ -190,7 +179,32 @@ def pwl_min(f: MonotonePL, g: MonotonePL) -> MonotonePL:
     ky = np.asarray(knots_y)
     # drop duplicate abscissae that can appear when a crossing lands on a knot
     keep = np.concatenate(([True], np.diff(kx) > 0))
-    return MonotonePL(kx[keep], ky[keep], extrapolate=f.extrapolate)
+    return MonotonePL(kx[keep], ky[keep])
+
+
+# ----------------------------------------------------------------------
+# level tables
+
+
+def level_max(levels: np.ndarray, keys: np.ndarray, values: np.ndarray, *, above: bool):
+    """The max of values over each level's super- or sub-level set of keys.
+
+    For strictly increasing levels r: max{values : keys >= r} (above) or
+    max{values : keys <= r} (not above), NaN where no sample qualifies.
+    Bins the samples between levels and takes one running max across the
+    bins, with no sort.  Min is the exact negation: min{d : U >= r} is
+    -level_max(levels, U, -d, above=True).
+    """
+    n = len(levels)
+    bins = np.searchsorted(levels, keys, side="right" if above else "left")
+    best = np.full(n + 1, -np.inf)
+    np.maximum.at(best, bins, values)
+    hit = np.bincount(bins, minlength=n + 1) > 0
+    # level i takes bins i+1..n above, bins 0..i below
+    tail = slice(None, 0, -1) if above else slice(None, n)
+    out = np.maximum.accumulate(best[tail])
+    out[~np.logical_or.accumulate(hit[tail])] = np.nan
+    return out[::-1] if above else out
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,16 @@ bound live here too, since they are consumed by the same audits.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .certificates import CandidateMrf, DecreaseModulus
-from .pwl import MonotonePL, bisect_root, lift_strict, lower_strict, pwl_min, sorted_unique
+from .certificates import D_FLOOR, CandidateMrf, DecreaseModulus, GridSpec
+from .pwl import (
+    MonotonePL, bisect_root, level_max, lift_strict, lower_strict, pwl_min, sorted_unique,
+)
 from .systems import (
     ConfigError,
     ControlSystem,
@@ -783,8 +786,6 @@ def build_sigma_envelopes(
     grid,
     *,
     n_knots: int = 33,
-    margin: Optional[float] = None,
-    d_floor: float = 1e-12,
 ) -> tuple[MonotonePL, MonotonePL]:
     """Sampled monotone envelopes squeezing d between functions of U.
 
@@ -803,8 +804,6 @@ def build_sigma_envelopes(
     raw minimum sits below any useful margin, and deflating it further
     would break the sandwich rather than strengthen it.
     """
-    from .certificates import GridSpec  # local import to avoid a cycle
-
     if not isinstance(grid, GridSpec):
         raise ConfigError("grid must be a GridSpec")
     X = grid.points()
@@ -814,9 +813,8 @@ def build_sigma_envelopes(
     U, D = U[keep], D[keep]
     if U.size == 0:
         raise ConfigError("no usable samples: U is negative or undefined on the whole grid")
-    if margin is None:
-        L = float(mrf.band_constants.get("L", 1.0))
-        margin = grid.spacing * np.sqrt(grid.dim) * (1.0 + L)
+    L = float(mrf.band_constants.get("L", 1.0))
+    margin = grid.spacing * np.sqrt(grid.dim) * (1.0 + L)
 
     # knot levels: linear ladder plus geometric refinement near 0
     levels = sorted_unique(
@@ -825,39 +823,24 @@ def build_sigma_envelopes(
         )
     )
 
-    order = np.argsort(U, kind="stable")
-    U_s, D_s = U[order], D[order]
-
-    # lower envelope from samples strictly off the target
-    pos = D_s > d_floor
-    U_lo, D_lo = U_s[pos], D_s[pos]
-    if U_lo.size == 0:
+    # lower envelope from samples strictly off the target, upper from every sample
+    pos = D > D_FLOOR
+    if not np.any(pos):
         raise ConfigError("no samples off the target; enlarge the grid")
-    suffix_min = np.minimum.accumulate(D_lo[::-1])[::-1]
-    sm_raw = []
-    for r in levels:
-        j = int(np.searchsorted(U_lo, r, side="left"))
-        sm_raw.append(float(suffix_min[j]) if j < len(U_lo) else None)
-
-    # upper envelope from every sample
-    prefix_max = np.maximum.accumulate(D_s)
-    sp_raw = []
-    for r in levels:
-        j = int(np.searchsorted(U_s, r, side="right")) - 1
-        sp_raw.append(float(prefix_max[j]) if j >= 0 else None)
+    sm_raw = -level_max(levels, U[pos], -D[pos], above=True)
+    sp_raw = level_max(levels, U, D, above=False)
 
     # ---- sigma_minus: lag by one knot, cap at the identity, strictify down
     xs_m, ys_m = [0.0], [0.0]
     prev_raw = None
-    for j, r in enumerate(levels):
-        raw = sm_raw[j]
-        if raw is None:
+    for r, raw in zip(levels.tolist(), sm_raw.tolist()):
+        if math.isnan(raw):
             continue
         lagged = prev_raw if prev_raw is not None else raw
         prev_raw = raw
-        v = min(lagged, float(r))
+        v = min(lagged, r)
         if v > 0:
-            xs_m.append(float(r))
+            xs_m.append(r)
             ys_m.append(v)
     if len(xs_m) < 3:
         raise ConfigError(
@@ -867,10 +850,10 @@ def build_sigma_envelopes(
     ys_arr = np.maximum.accumulate(np.asarray(ys_m))  # monotone guard before lowering
     floor_m = max(1e-15, 1e-9 * float(ys_arr[-1]) / max(sigma, 1e-15))
     ys_arr = lower_strict(np.asarray(xs_m), ys_arr, floor_m)
-    sigma_minus = MonotonePL(np.asarray(xs_m), ys_arr, extrapolate="linear")
+    sigma_minus = MonotonePL(np.asarray(xs_m), ys_arr)
 
     # ---- sigma_plus: lead by one knot, inflate by the margin, strictify up
-    kept = [(float(levels[j]), sp_raw[j]) for j in range(len(levels)) if sp_raw[j] is not None]
+    kept = [(r, v) for r, v in zip(levels.tolist(), sp_raw.tolist()) if not math.isnan(v)]
     if not kept:
         raise ConfigError("upper envelope degenerate: no samples below sigma")
     xs_p = [0.0]
@@ -881,7 +864,7 @@ def build_sigma_envelopes(
         ys_p.append(kept[nxt][1] + margin)
     floor_p = max(1e-15, 1e-9 * float(max(ys_p)) / max(sigma, 1e-15))
     ys_up = lift_strict(np.asarray(xs_p), np.maximum.accumulate(np.asarray(ys_p)), floor_p)
-    sigma_plus = MonotonePL(np.asarray(xs_p), ys_up, extrapolate="linear")
+    sigma_plus = MonotonePL(np.asarray(xs_p), ys_up)
 
     return sigma_minus, sigma_plus
 

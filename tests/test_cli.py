@@ -316,6 +316,15 @@ INFINITE_GRID_CFG = (
     "system: {name: minimum_time_1d}\nverify: {grid: {lower: [-.inf], upper: [2.0],"
     " spacing: 0.5}, delta: 0.05, sigma: 1.5}"
 )
+NAN_D_TOL_CFG = (
+    "system: {name: minimum_time_1d}\nverify: {grid: {lower: [-2.0], upper: [2.0],"
+    " spacing: 0.5}, delta: 0.05, sigma: 1.5, d_tol: .nan}"
+)
+NAN_ORACLE_TOL_CFG = (
+    "system: {name: minimum_time_1d}\nverify: {grid: {lower: [-2.0], upper: [2.0],"
+    " spacing: 0.5}, delta: 0.05, sigma: 1.5}\noracle: {grid: {lower: [-2.0],"
+    " upper: [2.0], spacing: 0.5}, h: 0.5, oracle_tol: .nan}"
+)
 
 BAD_CONFIGS = [
     "bogus: 1\nsystem: {name: minimum_time_1d}",
@@ -330,6 +339,8 @@ BAD_CONFIGS = [
     ODD_SUBSTEPS_CFG,
     REVERSED_GRID_CFG,
     INFINITE_GRID_CFG,
+    NAN_D_TOL_CFG,
+    NAN_ORACLE_TOL_CFG,
 ]
 
 
@@ -344,7 +355,9 @@ def test_bad_configs_exit_2(tmp_path, text):
     [
         (ODD_SUBSTEPS_CFG, "synthesis.substeps"),
         (REVERSED_GRID_CFG, "verify.grid"),
-        (INFINITE_GRID_CFG, "verify.grid"),
+        (INFINITE_GRID_CFG, "verify.grid.lower[0]"),
+        (NAN_D_TOL_CFG, "verify.d_tol"),
+        (NAN_ORACLE_TOL_CFG, "oracle.oracle_tol"),
     ],
 )
 def test_config_errors_name_the_field(text, dotted):

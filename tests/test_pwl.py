@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from exitcert.pwl import (
     MonotonePL,
     bisect_root,
+    level_max,
     lift_strict,
     lower_strict,
     pwl_min,
@@ -42,12 +43,6 @@ def test_linear_extrapolation_uses_end_slopes():
     pl = MonotonePL(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
     assert pl(-1.0) == pytest.approx(-1.0)   # left slope 1
     assert pl(3.0) == pytest.approx(5.0)     # right slope 2
-
-
-def test_clamp_extrapolation_holds_end_values():
-    pl = MonotonePL(np.array([0.0, 1.0]), np.array([0.5, 1.5]), extrapolate="clamp")
-    assert pl(-10.0) == 0.5
-    assert pl(10.0) == 1.5
 
 
 def test_rejects_bad_knots():
@@ -105,19 +100,18 @@ def _same_float(a: float, b: float) -> bool:
 @given(
     KNOTS,
     st.lists(st.floats(0, 10), min_size=8, max_size=8),
-    st.sampled_from(["linear", "clamp"]),
     st.lists(st.floats(-100, 100), max_size=4),
 )
-@example(SUBNORMAL_GAP, [0.5] * 8, "linear", [])
-@example([-1e308, 1e308], [0.0] * 8, "linear", [9e307])  # span wider than the largest float
-@example([-1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 0.0, 0, 0, 0, 0], "clamp", [1.0, 0.5])
-def test_scalar_branch_matches_array_path_bitwise(xs, rises, mode, extra):
+@example(SUBNORMAL_GAP, [0.5] * 8, [])
+@example([-1e308, 1e308], [0.0] * 8, [9e307])  # span wider than the largest float
+@example([-1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 0.0, 0, 0, 0, 0], [1.0, 0.5])
+def test_scalar_branch_matches_array_path_bitwise(xs, rises, extra):
     """A scalar query returns the array path's value to the bit, as a float."""
     xs = np.sort(np.asarray(xs))
     ys = -3.0 + np.cumsum(np.asarray(rises[: len(xs)]))  # flat segments included
     try:
         with np.errstate(over="ignore"):  # knot spans wider than the largest float
-            pl = MonotonePL(xs, ys, extrapolate=mode)
+            pl = MonotonePL(xs, ys)
     except ValueError as exc:
         assert "slope overflows" in str(exc)
         return
@@ -169,6 +163,29 @@ def test_lift_strict_preserves_floor_and_monotonicity():
     assert np.all(out >= ys - 1e-15)  # only raises, never lowers
     with pytest.raises(ValueError):
         lift_strict(xs, ys, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), max_size=16),  # keys: duplicates and exact levels are common
+    st.lists(st.floats(-10, 10), min_size=16, max_size=16),
+    st.sets(st.integers(-8, 8), min_size=1, max_size=6),  # levels, halved: -4 to 4
+)
+@example([0, 0, 1, 2, 2], [3.0, -1.0, 0.5, 2.0, -2.0] + [0.0] * 11, {-8, 0, 2, 4, 8})
+@example([], [0.0] * 16, {0})
+def test_level_max_matches_brute_force(keys, values, levels):
+    keys = np.asarray(keys, dtype=float)
+    values = np.asarray(values[: len(keys)])
+    levels = np.array(sorted(levels), dtype=float) / 2.0
+    for above in (True, False):
+        got = level_max(levels, keys, values, above=above)
+        assert got.shape == levels.shape
+        for r, g in zip(levels, got):
+            side = keys >= r if above else keys <= r
+            if side.any():
+                assert g == values[side].max(), (r, above)
+            else:
+                assert math.isnan(g), (r, above)
 
 
 def test_lower_strict_preserves_cap():
