@@ -47,6 +47,9 @@ __all__ = [
 # as far as floats can tell, and the sign of H there is noise.
 D_FLOOR = 1e-12
 
+# Each check keeps at most this many failure records; the counts stay exact.
+MAX_RECORDS = 32
+
 
 # ----------------------------------------------------------------------
 # sampling grids
@@ -434,15 +437,14 @@ def _worst_gradients(
     return grads
 
 
-def _estimate_semiconcavity(
-    mrf: CandidateMrf, Xb: np.ndarray, spacing: float, max_probes: int = 256
-) -> float:
+def _estimate_semiconcavity(mrf: CandidateMrf, Xb: np.ndarray, spacing: float) -> float:
     """Sampled upper-quadratic constant: positive part of second differences.
 
-    Probes where exactly one piece is active compare U one half spacing
-    along each axis with its first-order expansion.
+    About 256 evenly strided probes where exactly one piece is active
+    compare U one half spacing along each axis with its first-order
+    expansion.
     """
-    X = Xb[:: max(1, len(Xb) // max_probes)]
+    X = Xb[:: max(1, len(Xb) // 256)]
     U0 = mrf.u_batch(X)
     masks = mrf.active_masks(X, U0)
     single = np.sum(masks, axis=0) == 1
@@ -480,7 +482,6 @@ def verify_mrf_band(
     d_tol: float = 1e-3,
     u_tol: float = 0.05,
     n_levels: int = 9,
-    max_violation_records: int = 32,
 ) -> BandCertificate:
     """Sample the band {delta <= U <= sigma} and certify strict H-decrease.
 
@@ -517,7 +518,7 @@ def verify_mrf_band(
         order = idx[np.argsort(U[idx])]
         records = [
             Violation("positive_definiteness", tuple(X[i]), float(U[i]), detail=f"d={D[i]}")
-            for i in order[:max_violation_records]
+            for i in order[:MAX_RECORDS]
         ]
         raise PositiveDefinitenessViolation(records, int(bad.sum()))
 
@@ -552,7 +553,7 @@ def verify_mrf_band(
     if np.any(escaped):
         idx = np.where(escaped)[0]
         order = idx[np.argsort(U[idx])]
-        for i in order[:max_violation_records]:
+        for i in order[:MAX_RECORDS]:
             violations.append(
                 Violation(
                     "properness",
@@ -575,13 +576,13 @@ def verify_mrf_band(
     hot = H >= -margin
     if np.any(hot):
         idx = np.where(hot)[0]
-        rows = idx[np.argsort(-H[idx])][:max_violation_records]
+        rows = idx[np.argsort(-H[idx])][:MAX_RECORDS]
         # only the recorded rows: the record carries the offending gradient
         grads = _worst_gradients(system, mrf, Xb[rows], Ub[rows])
         for i, p in zip(rows, grads):
             violations.append(Violation("hamiltonian", tuple(Xb[i]), float(H[i]), p=tuple(p)))
-        if len(idx) > max_violation_records:
-            notes.append(f"{int(hot.sum())} hamiltonian violations, first {max_violation_records} recorded")
+        if len(idx) > MAX_RECORDS:
+            notes.append(f"{int(hot.sum())} hamiltonian violations, first {MAX_RECORDS} recorded")
 
     # --- margin table -------------------------------------------------------
     levels = np.linspace(delta, sigma, n_levels)
@@ -665,9 +666,6 @@ def check_supersolution(
     mrf: CandidateMrf,
     modulus: DecreaseModulus,
     samples: BandSamples,
-    *,
-    tol: float = 0.0,
-    max_records: int = 32,
 ) -> SupersolutionReport:
     """Check H(x, p0_bar, grad U(x)) <= -m(U(x)) at differentiability points.
 
@@ -681,10 +679,10 @@ def check_supersolution(
     """
     idx = np.flatnonzero(np.count_nonzero(samples.active, axis=0) == 1)
     margins = samples.H[idx] + modulus(samples.U[idx])
-    bad = margins > tol
+    bad = margins > 0.0
     failures: list[Violation] = []
     for piece, act in zip(mrf.smooth_pieces, samples.active):
-        k = np.flatnonzero(bad & act[idx])[: max_records - len(failures)]
+        k = np.flatnonzero(bad & act[idx])[: MAX_RECORDS - len(failures)]
         if k.size:
             Xf = samples.X[idx[k]]
             P = np.asarray(piece.batch_gradient(Xf), dtype=float)
@@ -735,6 +733,11 @@ class IntegrabilityError(ValueError):
 _GL_NODES = 32
 _GL_RTOL = 1e-13
 _GL_DEPTH = 50
+
+# The gauge integrates 1/mu over this many decades below delta and
+# extrapolates the rest geometrically; a Petrov margin above PETROV_TOL fails.
+PETROV_DECADES = 12
+PETROV_TOL = 1e-9
 
 
 @functools.cache
@@ -814,10 +817,7 @@ def check_weak_petrov(
     points: np.ndarray,
     *,
     p0_bar: float = 0.5,
-    n_decades: int = 12,
-    d_floor: float = 1e-9,
-    tol: float = 1e-9,
-    max_records: int = 32,
+    max_records: int = MAX_RECORDS,
 ) -> PetrovReport:
     """Check the directional decrease of d and build the induced gauge.
 
@@ -826,9 +826,10 @@ def check_weak_petrov(
     for the limiting gradients p of the distance at sample points with
     0 < d < delta, and the Hamiltonian margin -(1 - p0_bar) of the
     composed candidate phi(d(.)) at the same points, where the gauge
-    phi(r) is the integral of 1/mu built by decade-wise quadrature.  mu
-    maps an array of radii to an array of rates.  A check that reaches
-    no sample point fails.
+    phi(r) is the integral of 1/mu built by quadrature over
+    PETROV_DECADES decades.  mu maps an array of radii to an array of
+    rates.  A pair fails when either margin exceeds PETROV_TOL.  A check
+    that reaches no sample point fails.
 
     Raises IntegrabilityError when the decade integrals of 1/mu fail to
     decay geometrically (the gauge would diverge), or when the
@@ -865,7 +866,7 @@ def check_weak_petrov(
 
     # decade-wise integrals of 1/mu; geometric decay <=> integrable at 0
     increments = []
-    for k in range(n_decades):
+    for k in range(PETROV_DECADES):
         a, b = delta * 10.0 ** (-(k + 1)), delta * 10.0 ** (-k)
         val = _integrate_reciprocal(mu, a, b)
         if not np.isfinite(val) or val < 0:
@@ -873,17 +874,18 @@ def check_weak_petrov(
                 increments + [val], [1.0], f"the integral of 1/mu over [{a!r}, {b!r}] is {val}"
             )
         increments.append(val)
-    ratios = [increments[k + 1] / increments[k] for k in range(n_decades - 5, n_decades - 1)]
+    ratios = [increments[k + 1] / increments[k]
+              for k in range(PETROV_DECADES - 5, PETROV_DECADES - 1)]
     rbar = _median(ratios)
     if rbar >= 0.98:
         raise IntegrabilityError(increments, ratios)
     tail = increments[-1] * rbar / (1.0 - rbar)
 
     # gauge knots: decade levels, refined inside the top decade
-    knots_x = [0.0, delta * 10.0 ** (-n_decades)]
+    knots_x = [0.0, delta * 10.0 ** (-PETROV_DECADES)]
     knots_y = [0.0, tail]
     acc = tail
-    for k in range(n_decades - 1, 0, -1):
+    for k in range(PETROV_DECADES - 1, 0, -1):
         acc += increments[k]
         knots_x.append(delta * 10.0 ** (-k))
         knots_y.append(acc)
@@ -895,7 +897,7 @@ def check_weak_petrov(
 
     # directional decrease of the distance at every (point, gradient) pair
     D = target.d_many(X)
-    sel = np.flatnonzero((D > d_floor) & (D < delta))
+    sel = np.flatnonzero((D > D_FLOOR) & (D < delta))
     rows, grads, rates = [], [], []
     for i in sel:
         mu_r = float(mu(D[i]))
@@ -916,10 +918,10 @@ def check_weak_petrov(
         h_marg = hamiltonian(system, Xq, p0_bar, Qmu) + (1.0 - p0_bar)
         worst_slack = float(np.max(slack))
         worst_h = float(np.max(h_marg))
-        for j in np.flatnonzero((slack > tol) | (h_marg > tol)):
-            if slack[j] > tol and len(failures) < max_records:
+        for j in np.flatnonzero((slack > PETROV_TOL) | (h_marg > PETROV_TOL)):
+            if slack[j] > PETROV_TOL and len(failures) < max_records:
                 failures.append(Violation("petrov_decrease", Xq[j], slack[j], p=Q[j]))
-            if h_marg[j] > tol and len(failures) < max_records:
+            if h_marg[j] > PETROV_TOL and len(failures) < max_records:
                 failures.append(Violation("petrov_hamiltonian", Xq[j], h_marg[j], p=Qmu[j]))
             if len(failures) >= max_records:
                 break

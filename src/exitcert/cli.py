@@ -40,7 +40,7 @@ from .certificates import (
 )
 from .config import RunConfig, load_config
 from .library import _MU_PROFILES, get_example
-from .oracle import NonConvergence, compare_bound, hjb_value_iteration
+from .oracle import RESOLVED, NonConvergence, compare_bound, hjb_value_iteration
 from .synthesis import (
     FeedbackGap,
     ModulusError,
@@ -612,7 +612,7 @@ def cmd_oracle(args) -> int:
             "sweeps": table.sweeps,
             "last_change": table.last_change,
             "n_nodes": int(table.values.size),
-            "n_resolved": int((table.values < 1e11).sum()),
+            "n_resolved": int((table.values < RESOLVED).sum()),
             "bound_comparison": comparison,
             "analytic_comparison": analytic,
             "value_table_file": "value_table.csv",

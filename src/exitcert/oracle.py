@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .certificates import CandidateMrf, GridSpec
+from .certificates import MAX_RECORDS, CandidateMrf, GridSpec
 from .pwl import bisect_root
 from .systems import (
     ConfigError,
@@ -43,7 +43,10 @@ __all__ = [
     "simulate_constant_control",
 ]
 
+# Value iteration starts every free node at the ceiling BIG; a node whose
+# value is not below RESOLVED counts as never reached from the target.
 BIG = 1e12
+RESOLVED = BIG / 10
 
 
 class NonConvergence(RuntimeError):
@@ -177,11 +180,11 @@ class GridValueTable:
     last_change: float
     converged: bool
 
-    def sup_error(self, fn: Callable[[np.ndarray], np.ndarray], *, big_cut: float = BIG / 10):
+    def sup_error(self, fn: Callable[[np.ndarray], np.ndarray]):
         """Sup-norm distance to a reference function over resolved nodes."""
         X = self.grid.points()
         ref = np.asarray(fn(X), dtype=float)
-        ok = self.values < big_cut
+        ok = self.values < RESOLVED
         if not np.any(ok):
             raise ConfigError("no resolved nodes to compare")
         err = np.abs(self.values[ok] - ref[ok])
@@ -198,16 +201,15 @@ def hjb_value_iteration(
     iter_tol: float = 1e-8,
     max_sweeps: int = 100000,
     target_radius: Optional[float] = None,
-    pin: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    big: float = BIG,
+    pin: Optional[tuple[np.ndarray, float]] = None,
 ) -> GridValueTable:
     """Solve the discretized exit-time problem on the grid.
 
     Nodes within target_radius (default half a grid spacing) of the
-    target are pinned at zero; ``pin`` optionally pins further nodes at
-    prescribed values (boundary layers around singular dynamics).
+    target are pinned at zero; ``pin = (mask, value)`` optionally pins the
+    masked nodes at one value (boundary layers around singular dynamics).
     Jacobi sweeps (jacobi_sweep) descend monotonically from the
-    ceiling ``big``; iteration stops when the largest change of a sweep
+    ceiling BIG; iteration stops when the largest change of a sweep
     falls to iter_tol (NonConvergence after max_sweeps otherwise).
     """
     if grid.dim > 3:
@@ -217,12 +219,12 @@ def hjb_value_iteration(
 
     X = grid.points()
     fixed = (target.d_many(X) <= target_radius).astype(np.uint8)
-    values = np.full(X.shape[0], big, dtype=np.float64)
+    values = np.full(X.shape[0], BIG, dtype=np.float64)
     values[fixed.astype(bool)] = 0.0
     if pin is not None:
-        mask, vals = pin
+        mask, value = pin
         mask = np.asarray(mask, dtype=bool)
-        values[mask] = np.asarray(vals, dtype=float)[mask] if np.ndim(vals) else float(vals)
+        values[mask] = float(value)
         fixed[mask] = 1
     if not np.any(fixed):
         raise ConfigError(
@@ -273,8 +275,6 @@ def compare_bound(
     oracle_tol: Optional[float] = None,
     target: Optional[TargetSet] = None,
     include: Optional[np.ndarray] = None,
-    big_cut: float = BIG / 10,
-    max_records: int = 32,
 ) -> dict:
     """Check the value bound V <= U / p0_bar + oracle_tol node by node.
 
@@ -297,7 +297,7 @@ def compare_bound(
 
     X = table.grid.points()
     U = mrf.u_batch(X)
-    ok = (table.values < big_cut) & np.isfinite(U)
+    ok = (table.values < RESOLVED) & np.isfinite(U)
     if target is not None:
         ok &= target.d_many(X) > 0.0
     if include is not None:
@@ -307,7 +307,7 @@ def compare_bound(
     bad = gap > 0
     records = []
     if np.any(bad):
-        idx = np.argsort(gap[bad])[::-1][:max_records]
+        idx = np.argsort(gap[bad])[::-1][:MAX_RECORDS]
         pts = X[ok][bad][idx]
         gaps = gap[bad][idx]
         vals = table.values[ok][bad][idx]

@@ -79,8 +79,12 @@ class MonotonePL:
         r_arr = np.asarray(r, dtype=float)
         xs, ys = self.xs, self.ys
         out = np.interp(r_arr, xs, ys)
-        out = np.where(r_arr < xs[0], ys[0] + self._lo_slope * (r_arr - xs[0]), out)
-        return np.where(r_arr > xs[-1], ys[-1] + self._hi_slope * (r_arr - xs[-1]), out)
+        # extrapolate only outside the knots: a steep end segment times an
+        # in-range offset can overflow
+        lo, hi = r_arr < xs[0], r_arr > xs[-1]
+        out[lo] = ys[0] + self._lo_slope * (r_arr[lo] - xs[0])
+        out[hi] = ys[-1] + self._hi_slope * (r_arr[hi] - xs[-1])
+        return out
 
     def _at(self, r: float) -> float:
         """One point, with np.interp's arithmetic and the array path's end rule."""
@@ -264,14 +268,14 @@ def bisect_root(
     lo: float,
     hi: float,
     *,
-    xtol: float = 1e-12,
     ftol: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """Find a root of fn on [lo, hi] by bisection.
 
     fn(lo) and fn(hi) must bracket zero (opposite signs, or one of them
-    already a root).  Returns the midpoint of the final bracket.
+    already a root).  Stops once |fn| <= ftol or the bracket is 1e-12
+    wide, or after 200 halvings; returns the midpoint of the final
+    bracket.
     """
     flo = fn(lo)
     if flo == 0.0 or abs(flo) <= ftol:
@@ -281,10 +285,10 @@ def bisect_root(
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
-        if abs(fmid) <= ftol or (hi - lo) <= xtol:
+        if abs(fmid) <= ftol or (hi - lo) <= 1e-12:
             return mid
         if np.sign(fmid) == np.sign(flo):
             lo, flo = mid, fmid

@@ -325,6 +325,7 @@ NAN_ORACLE_TOL_CFG = (
     " spacing: 0.5}, delta: 0.05, sigma: 1.5}\noracle: {grid: {lower: [-2.0],"
     " upper: [2.0], spacing: 0.5}, h: 0.5, oracle_tol: .nan}"
 )
+NAN_PARAM_CFG = SPIRAL_COARSE_CFG.replace("epsilon: 0.5", "epsilon: .nan")
 
 BAD_CONFIGS = [
     "bogus: 1\nsystem: {name: minimum_time_1d}",
@@ -341,6 +342,7 @@ BAD_CONFIGS = [
     INFINITE_GRID_CFG,
     NAN_D_TOL_CFG,
     NAN_ORACLE_TOL_CFG,
+    NAN_PARAM_CFG,
 ]
 
 
@@ -358,6 +360,7 @@ def test_bad_configs_exit_2(tmp_path, text):
         (INFINITE_GRID_CFG, "verify.grid.lower[0]"),
         (NAN_D_TOL_CFG, "verify.d_tol"),
         (NAN_ORACLE_TOL_CFG, "oracle.oracle_tol"),
+        (NAN_PARAM_CFG, "system.params.epsilon"),
     ],
 )
 def test_config_errors_name_the_field(text, dotted):
@@ -396,6 +399,25 @@ def test_removed_knobs_are_unknown_keys(section, key):
     raw = yaml.safe_load(MT_CFG)
     (raw[section] if section else raw)[key] = 1
     with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key", [("oracle", "target_radius"), ("oracle", "oracle_tol"),
+                     ("synthesis", "band_sigma")],
+)
+def test_null_optional_field_takes_its_default(section, key):
+    raw = yaml.safe_load(MT_CFG)
+    digest = config_from_dict(raw).digest()
+    raw[section][key] = None
+    assert config_from_dict(raw).digest() == digest
+
+
+@pytest.mark.parametrize("section, key", [("verify", "supersolution"), ("output", "dir")])
+def test_null_is_no_value_for_other_fields(section, key):
+    raw = yaml.safe_load(MT_CFG)
+    raw.setdefault(section, {})[key] = None
+    with pytest.raises(ConfigError, match=rf"config field '{section}\.{key}'"):
         config_from_dict(raw)
 
 

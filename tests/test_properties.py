@@ -138,7 +138,7 @@ def klb(request):
 
 
 def test_kl_axioms_on_lattice(klb):
-    axioms = klb.kl.validate_axioms(n_lattice=50)
+    axioms = klb.kl.validate_axioms()
     assert axioms["passed"], axioms
 
 

@@ -69,11 +69,15 @@ def test_inverse_requires_strict_increase():
 # knot abscissae; the pinned example has a subnormal gap, whose slope overflows
 KNOTS = st.lists(st.floats(-50, 50), min_size=2, max_size=8, unique=True)
 SUBNORMAL_GAP = [0.0, 2.225073858507203e-309]
+# the smallest normal gap: a finite first slope of about 4.5e307, which
+# overflows when multiplied by an in-range offset
+STEEP_GAP = [0.0, 4.0, 2.2250738585072014e-308]
 
 
 @settings(max_examples=60, deadline=None)
 @given(KNOTS)
 @example(SUBNORMAL_GAP)
+@example(STEEP_GAP)
 def test_inverse_roundtrip(xs):
     xs = np.sort(np.asarray(xs))
     # unit y-increments keep the values strictly increasing even when two

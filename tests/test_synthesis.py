@@ -385,7 +385,7 @@ def test_envelope_requires_gridspec(mt):
 
 
 def test_kl_axioms_minimum_time(mt_kl):
-    axioms = mt_kl.kl.validate_axioms(n_lattice=50)
+    axioms = mt_kl.kl.validate_axioms()
     assert axioms["passed"], axioms
 
 
