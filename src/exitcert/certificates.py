@@ -50,6 +50,9 @@ D_FLOOR = 1e-12
 # Each check keeps at most this many failure records; the counts stay exact.
 MAX_RECORDS = 32
 
+# A smooth piece is active where its value is within ACT_TOL of U.
+ACT_TOL = 1e-9
+
 
 # ----------------------------------------------------------------------
 # sampling grids
@@ -127,10 +130,7 @@ class CandidateMrf:
 
     ``batch_value`` evaluates U on an (N, dim) block; ``value`` evaluates
     it at one point, for the synthesis integrator.  p0_bar is the cost
-    multiplier the candidate claims to work with.  band_constants may
-    carry externally known bounds (gradient bound L, semiconcavity
-    constant rho, anchor radius R); verification fills in sampled
-    estimates for missing entries.
+    multiplier the candidate claims to work with.
     """
 
     name: str
@@ -138,8 +138,6 @@ class CandidateMrf:
     batch_value: Callable[[np.ndarray], np.ndarray]
     p0_bar: float
     smooth_pieces: tuple
-    act_tol: float = 1e-9
-    band_constants: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p0_bar <= 1.0:
@@ -157,7 +155,7 @@ class CandidateMrf:
         """One boolean mask over the rows of X per smooth piece.
 
         A piece is active at x iff x lies in its region and its value is
-        within act_tol of U(x); a NaN piece value counts as inactive.
+        within ACT_TOL of U(x); a NaN piece value counts as inactive.
         Piece values are only evaluated on rows inside the region.
         """
         masks = []
@@ -166,7 +164,7 @@ class CandidateMrf:
             sel = np.flatnonzero(act)
             if sel.size:
                 pv = np.asarray(piece.batch_value(X[sel]), dtype=float)
-                act[sel] = np.abs(pv - U[sel]) <= self.act_tol
+                act[sel] = np.abs(pv - U[sel]) <= ACT_TOL
             masks.append(act)
         return masks
 
@@ -184,7 +182,7 @@ class CandidateMrf:
         if not grads:
             raise ConfigError(
                 f"no smooth piece active at x={x.tolist()} (U={self.u(x)}); "
-                "check piece regions and act_tol"
+                "check piece regions and ACT_TOL"
             )
         return grads
 
@@ -307,16 +305,13 @@ class PositiveDefinitenessViolation(ValueError):
 
 @dataclass(frozen=True)
 class BandSamples:
-    """The band rows of a sampled block, as verification evaluated them.
+    """The band rows of a sampled block, in block order, as verification evaluated them.
 
-    ``in_band`` marks the band rows of the block; the samples are those
-    rows in block order.  ``X`` and ``U`` hold each sample's point and
-    candidate value, ``H`` the worst minimised Hamiltonian over the
-    limiting gradients there, and ``active`` one boolean mask over the
-    samples per smooth piece.
+    ``X`` and ``U`` hold each sample's point and candidate value, ``H``
+    the worst minimised Hamiltonian over the limiting gradients there,
+    and ``active`` one boolean mask over the samples per smooth piece.
     """
 
-    in_band: np.ndarray
     X: np.ndarray
     U: np.ndarray
     H: np.ndarray
@@ -324,14 +319,6 @@ class BandSamples:
 
     def __len__(self) -> int:
         return len(self.U)
-
-    def among(self, rows: np.ndarray) -> "BandSamples":
-        """The band samples of the block made of the given rows of this one, in their order."""
-        in_band = self.in_band[rows]
-        pos = (np.cumsum(self.in_band) - 1)[rows[in_band]]
-        return BandSamples(
-            in_band, self.X[pos], self.U[pos], self.H[pos], tuple(act[pos] for act in self.active)
-        )
 
 
 @dataclass
@@ -396,8 +383,8 @@ def sample_band(
     Each sample's H is the largest over the limiting gradients there.
     Returns the samples and the largest sampled gradient norm.
     """
-    in_band = (U >= delta) & (U <= sigma) & (D > D_FLOOR)
-    Xb, Ub = X[in_band], U[in_band]
+    band = (U >= delta) & (U <= sigma) & (D > D_FLOOR)
+    Xb, Ub = X[band], U[band]
     masks = mrf.active_masks(Xb, Ub)
     worst = np.full(len(Xb), -np.inf)
     max_p = 0.0
@@ -414,9 +401,9 @@ def sample_band(
         bad = Xb[np.where(uncovered)[0][0]]
         raise ConfigError(
             f"no active smooth piece at band point x={bad.tolist()}; "
-            "check piece regions and act_tol"
+            "check piece regions and ACT_TOL"
         )
-    return BandSamples(in_band, Xb, Ub, worst, tuple(masks)), max_p
+    return BandSamples(Xb, Ub, worst, tuple(masks)), max_p
 
 
 def _worst_gradients(
@@ -594,10 +581,11 @@ def verify_mrf_band(
         m_hat_samples.append((float(lev), float(m)))
 
     # --- constants ------------------------------------------------------------
-    constants = dict(mrf.band_constants)
-    constants.setdefault("L", 1.5 * max_p if max_p > 0 else 1.0)
     rho_hat = _estimate_semiconcavity(mrf, Xb, grid.spacing)
-    constants.setdefault("rho", 1.5 * rho_hat if rho_hat > 0 else 0.0)
+    constants = {
+        "L": 1.5 * max_p if max_p > 0 else 1.0,
+        "rho": 1.5 * rho_hat if rho_hat > 0 else 0.0,
+    }
 
     certified = (
         not violations

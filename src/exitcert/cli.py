@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 certificate or invariant failure, 2 config
 error, 3 numerical non-convergence.  Reports are deterministic given
 the config and seed: keys are sorted, floats are written with repr
 round-tripping, and no wall-clock data enters the files (timings go to
-the stderr log).
+the stderr log).  No stage draws random numbers; the seed is recorded
+in each report's provenance only.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import argparse
 import itertools
 import json
 import logging
-import math
 import sys
-from enum import Enum
 from pathlib import Path
 from typing import Optional
 
@@ -38,7 +37,7 @@ from .certificates import (
     check_weak_petrov,
     verify_mrf_band,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig, as_plain, load_config
 from .library import _MU_PROFILES, get_example
 from .oracle import RESOLVED, NonConvergence, compare_bound, hjb_value_iteration
 from .synthesis import (
@@ -70,28 +69,8 @@ EXIT_NO_CONVERGENCE = 3
 # report plumbing
 
 
-def _plain(obj):
-    """Recursively coerce a report tree to JSON-safe plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(as_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     path.write_text(text)
     log.info("wrote %s (%d bytes)", path, len(text))
 
@@ -225,13 +204,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             modulus_error = str(exc)
             log.warning("no decrease modulus: %s", exc)
         if cert.certified and modulus is not None and vcfg.supersolution:
-            samples = cert.samples
-            if cert.n_grid > vcfg.max_points:
-                # the band rows among a seeded draw of grid rows, in draw order
-                rng = np.random.default_rng(seed)
-                draw = rng.choice(cert.n_grid, size=vcfg.max_points, replace=False)
-                samples = samples.among(draw)
-            supers = check_supersolution(example.mrf, modulus, samples)
+            supers = check_supersolution(example.mrf, modulus, cert.samples)
             log.info(
                 "supersolution check: %s (worst margin %.3g over %d points)",
                 "ok" if supers.passed else "FAILED",
@@ -319,10 +292,6 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------------
 # synthesize
-
-
-_LEG_CHECK_KEYS = ("step_decrease", "progress_budget", "strict_node_decrease",
-                   "integral_decrease", "level_attained")
 
 
 def _leg_checks(entry: dict) -> dict:
@@ -695,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--out", metavar="DIR",
                         help="output directory (default: output.dir from the config)")
     common.add_argument("--seed", type=int, metavar="N",
-                        help="seed override for sampled audits")
+                        help="seed to record in report provenance (no stage draws "
+                        "random numbers)")
     common.add_argument("--force", action="store_true",
                         help="synthesize from a verify report that did not pass "
                         "(never from a missing one or one from another run)")

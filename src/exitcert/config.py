@@ -15,6 +15,7 @@ import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -206,7 +207,6 @@ class VerifySection:
     eta: float = _bounded(0.1, lo=0.0, lo_open=True, hi=0.9)
     n_levels: int = _bounded(9, lo=2, hi=4096)
     supersolution: bool = True
-    max_points: int = _bounded(2_000_000, lo=1000)
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ class RunConfig:
 
     def digest(self) -> str:
         """Stable fingerprint of the parsed config, for report provenance."""
-        blob = json.dumps(_as_plain(self), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(as_plain(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def require(self, section: str) -> object:
@@ -279,15 +279,29 @@ class RunConfig:
         return val
 
 
-def _as_plain(obj):
-    if is_dataclass(obj):
-        return {k: _as_plain(v) for k, v in vars(obj).items()}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+def as_plain(obj):
+    """Recursively coerce a report tree or a dataclass to JSON-safe plain Python.
+
+    Non-finite floats become None.  Dataclasses are checked last: report
+    trees, the common case, hold none.
+    """
     if isinstance(obj, dict):
-        return {str(k): _as_plain(v) for k, v in obj.items()}
+        return {str(k): as_plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_as_plain(v) for v in obj]
+        return [as_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [as_plain(v) for v in obj.tolist()]
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if is_dataclass(obj):
+        return {k: as_plain(v) for k, v in vars(obj).items()}
     return obj
 
 

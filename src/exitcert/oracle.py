@@ -5,8 +5,7 @@ grid: V(x) = min_a [ h*l(x,a) + V(x + h*f(x,a)) ] with multilinear
 interpolation at the foot, V = 0 pinned on the target nodes, and
 monotone non-increasing sweeps from an optimistic start.  The table is
 independent of the certificate pipeline, so agreement between the two
-is evidence, not circularity.  Also hosts the closed-loop constant
-control flow used to check trajectories against exact solutions.
+is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .certificates import MAX_RECORDS, CandidateMrf, GridSpec
-from .pwl import bisect_root
-from .systems import (
-    ConfigError,
-    ControlSystem,
-    NegativeLagrangian,
-    TargetSet,
-    eval_dynamics,
-)
+from .systems import ConfigError, ControlSystem, NegativeLagrangian, TargetSet
 
 log = logging.getLogger(__name__)
 
@@ -39,8 +31,6 @@ __all__ = [
     "jacobi_sweep",
     "hjb_value_iteration",
     "compare_bound",
-    "FlowResult",
-    "simulate_constant_control",
 ]
 
 # Value iteration starts every free node at the ceiling BIG; a node whose
@@ -170,7 +160,7 @@ def jacobi_sweep(values, fixed, idx, wts, stage):
 
 @dataclass
 class GridValueTable:
-    """Converged (or interrupted) semi-Lagrangian value table."""
+    """Converged semi-Lagrangian value table."""
 
     grid: GridSpec
     values: np.ndarray
@@ -178,7 +168,6 @@ class GridValueTable:
     h: float
     sweeps: int
     last_change: float
-    converged: bool
 
     def sup_error(self, fn: Callable[[np.ndarray], np.ndarray]):
         """Sup-norm distance to a reference function over resolved nodes."""
@@ -238,18 +227,16 @@ def hjb_value_iteration(
     t0 = time.perf_counter()
     sweeps = 0
     change = np.inf
-    converged = False
     while sweeps < max_sweeps:
         values, change = jacobi_sweep(values, pinned, idx, wts, stage)
         sweeps += 1
         if change <= iter_tol:
-            converged = True
             break
     elapsed = time.perf_counter() - t0
     log.info(
         "value iteration: %d sweeps, last change %.3g, %.3fs", sweeps, change, elapsed,
     )
-    if not converged:
+    if not change <= iter_tol:  # a NaN change never converges
         raise NonConvergence(sweeps, change, iter_tol)
 
     return GridValueTable(
@@ -259,7 +246,6 @@ def hjb_value_iteration(
         h=h,
         sweeps=sweeps,
         last_change=change,
-        converged=converged,
     )
 
 
@@ -330,113 +316,3 @@ def compare_bound(
         report["n_checked"], report["n_violations"], report["worst_gap"], oracle_tol,
     )
     return report
-
-
-# ----------------------------------------------------------------------
-# closed-loop flow with a frozen control
-
-
-@dataclass
-class FlowResult:
-    reached: bool
-    t_end: float
-    state_end: np.ndarray
-    d_end: float
-    winding: Optional[float]  # accumulated polar angle in radians, 2-D only
-
-    @property
-    def turns(self) -> Optional[float]:
-        return None if self.winding is None else self.winding / (2.0 * np.pi)
-
-
-def simulate_constant_control(
-    system: ControlSystem,
-    target: TargetSet,
-    x0: np.ndarray,
-    a_index: int,
-    *,
-    d_stop: float = 1e-3,
-    t_max: float = 100.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    track_winding: Optional[bool] = None,
-) -> FlowResult:
-    """Integrate the open-loop dynamics until d(z) falls to d_stop.
-
-    High-accuracy reference for approach times; in two dimensions the
-    polar angle is accumulated alongside the state, so the total
-    winding comes out of the same integration instead of a lossy
-    post-hoc unwrap.  The CLI never calls it; the tests use it as a
-    reference flow.  It needs scipy (DOP853 from ``solve_ivp``), which
-    only the ``dev`` extra installs.
-    """
-    from scipy.integrate import solve_ivp
-
-    x0 = np.asarray(x0, dtype=float)
-    dim = len(x0)
-    if track_winding is None:
-        track_winding = dim == 2
-
-    def rhs(t, y):
-        z = y[:dim]
-        f = eval_dynamics(system, z, a_index)
-        if not track_winding:
-            return f
-        rho2 = z[0] * z[0] + z[1] * z[1]
-        dtheta = (z[0] * f[1] - z[1] * f[0]) / rho2 if rho2 > 0 else 0.0
-        return np.concatenate([f, [dtheta]])
-
-    def hit_target(t, y):
-        return target.d(y[:dim]) - d_stop
-
-    hit_target.terminal = True
-    hit_target.direction = -1.0
-
-    y0 = np.concatenate([x0, [0.0]]) if track_winding else x0
-    sol = solve_ivp(
-        rhs, (0.0, t_max), y0, method="DOP853", rtol=rtol, atol=atol,
-        events=[hit_target], dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-
-    reached = len(sol.t_events[0]) > 0
-    if reached:
-        t_end = float(sol.t_events[0][0])
-        y_end = sol.y_events[0][0]
-    else:
-        t_end = float(sol.t[-1])
-        y_end = sol.y[:, -1]
-        # a fast pass through the collar can fit entirely inside one
-        # accepted step, where the endpoint sign check cannot see it;
-        # rescan the dense solution at a speed-scaled resolution
-        for ta, tb in zip(sol.t[:-1], sol.t[1:]):
-            v = max(
-                float(np.linalg.norm(eval_dynamics(system, sol.sol(ta)[:dim], a_index))),
-                float(np.linalg.norm(eval_dynamics(system, sol.sol(tb)[:dim], a_index))),
-                1e-12,
-            )
-            n = int(min(200_000, max(2, np.ceil((tb - ta) * v / (0.5 * d_stop)))))
-            ts = np.linspace(ta, tb, n + 1)
-            below = np.where(target.d_many(sol.sol(ts)[:dim].T) <= d_stop)[0]
-            if below.size:
-                k = int(below[0])
-                t_end = float(ts[k])
-                if k > 0:
-                    t_end = bisect_root(
-                        lambda t: float(target.d(sol.sol(t)[:dim])) - d_stop,
-                        float(ts[k - 1]),
-                        float(ts[k]),
-                    )
-                y_end = sol.sol(t_end)
-                reached = True
-                break
-    state_end = np.asarray(y_end[:dim])
-    winding = float(y_end[dim]) if track_winding else None
-    return FlowResult(
-        reached=reached,
-        t_end=t_end,
-        state_end=state_end,
-        d_end=float(target.d(state_end)),
-        winding=winding,
-    )

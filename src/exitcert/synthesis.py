@@ -812,8 +812,9 @@ def build_sigma_envelopes(
     U, D = U[keep], D[keep]
     if U.size == 0:
         raise ConfigError("no usable samples: U is negative or undefined on the whole grid")
-    L = float(mrf.band_constants.get("L", 1.0))
-    margin = grid.spacing * np.sqrt(grid.dim) * (1.0 + L)
+    # a cell diagonal times (1 + L), with d 1-Lipschitz and L = 1 taken for
+    # U whatever the candidate; the pinned synthesis artifacts rest on it
+    margin = grid.spacing * np.sqrt(grid.dim) * (1.0 + 1.0)
 
     # knot levels: linear ladder plus geometric refinement near 0
     levels = sorted_unique(

@@ -204,21 +204,6 @@ class TargetSet:
         return D
 
 
-def check_distance_lipschitz(target: TargetSet, points: np.ndarray, tol: float = 1e-9) -> float:
-    """Largest violation of |d(x)-d(y)| <= |x-y| over consecutive sample pairs.
-
-    Returns the worst slack (positive means a violation larger than tol
-    was found, and a ConfigError is raised instead).
-    """
-    pts = np.asarray(points, dtype=float)
-    D = target.d_many(pts)
-    slack = np.abs(np.diff(D)) - np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    worst = float(np.max(slack, initial=-np.inf))
-    if worst > tol:
-        raise ConfigError(f"distance is not 1-Lipschitz on samples (slack {worst})")
-    return worst
-
-
 # ----------------------------------------------------------------------
 # partitions and trajectories
 

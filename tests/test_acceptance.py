@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from flow_reference import simulate_constant_control
 
 from exitcert.certificates import (
     GridSpec,
@@ -26,7 +27,7 @@ from exitcert.certificates import (
     verify_mrf_band,
 )
 from exitcert.library import minimum_time_1d, power_law, spiral
-from exitcert.oracle import compare_bound, hjb_value_iteration, simulate_constant_control
+from exitcert.oracle import compare_bound, hjb_value_iteration
 from exitcert.synthesis import SynthesisConfig, synthesize
 from exitcert.systems import TrajectoryStatus
 

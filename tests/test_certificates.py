@@ -52,7 +52,7 @@ def test_active_masks_need_region_and_value_agreement(mt):
     right, left = mrf.active_masks(X, np.abs(X[:, 0]))
     assert right.tolist() == [False, False, True]
     assert left.tolist() == [True, False, False]
-    # a value off by more than act_tol, or a NaN piece value, is inactive
+    # a value off by more than ACT_TOL, or a NaN piece value, is inactive
     assert not np.any(mrf.active_masks(X, np.abs(X[:, 0]) + 1e-6))
     nan_right = replace(mrf.smooth_pieces[0], batch_value=lambda X: np.full(len(X), np.nan))
     nan_mrf = replace(mrf, smooth_pieces=(nan_right,))

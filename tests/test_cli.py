@@ -161,31 +161,6 @@ verify:
 """
 
 
-def test_supersolution_subsamples_the_band_by_seed(tmp_path):
-    cfg = _write(tmp_path, SPIRAL_COARSE_CFG + "  max_points: 1000\n")
-    out = tmp_path / "out"
-    assert main(["verify", "-c", cfg, "-o", str(out)]) == 0
-    rep = json.loads((out / "verify_report.json").read_text())
-    supers = rep["supersolution"]
-
-    ex = get_example("spiral", epsilon=0.5, k_const=1.0, p0_bar=1.0)
-    X = GridSpec(np.array([-4.1, -4.1]), np.array([4.1, 4.1]), 0.1).points()
-    U = ex.mrf.u_batch(X)
-    band = (U >= 0.05) & (U <= 1.3333333333333333) & (ex.target.d_many(X) > 1e-12)
-    draw = np.random.default_rng(0).choice(len(X), size=1000, replace=False)
-    assert supers["n_points"] == int(band[draw].sum())
-    assert supers["n_checked"] + supers["n_skipped"] == supers["n_points"]
-    assert supers["n_points"] < rep["certificate"]["n_band"]
-    assert supers == {
-        "failures": [],
-        "n_checked": 657,
-        "n_points": 662,
-        "n_skipped": 5,
-        "passed": True,
-        "worst_margin": -2.5297281373074423e-08,
-    }
-
-
 def test_verify_evaluates_the_grid_once(tmp_path, monkeypatch):
     """One full-grid evaluation of U per verify, and no Hamiltonian in the supersolution check."""
     cfg = _write(tmp_path, SPIRAL_COARSE_CFG)
@@ -394,7 +369,9 @@ def test_yaml_and_library_share_synthesis_bounds(key, value):
         assert getattr(config_from_dict(raw).synthesis, key) == value
 
 
-@pytest.mark.parametrize("section, key", [(None, "threads"), ("synthesis", "band_delta")])
+@pytest.mark.parametrize(
+    "section, key", [(None, "threads"), ("synthesis", "band_delta"), ("verify", "max_points")]
+)
 def test_removed_knobs_are_unknown_keys(section, key):
     raw = yaml.safe_load(MT_CFG)
     (raw[section] if section else raw)[key] = 1

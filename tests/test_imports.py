@@ -1,12 +1,14 @@
-"""The CLI runs without scipy, and without paying for numpy.ma.
+"""The package needs no scipy, and the CLI does not pay for numpy.ma.
 
 scipy serves only the reference flow the tests integrate with
-(``oracle.simulate_constant_control``).  ``np.unique``, ``np.union1d``
-and ``np.median`` import ``numpy.ma`` on their first call, so the
-pipeline avoids them.  Each check runs in a fresh interpreter, because
-this test process has imported both long before.
+(``tests/flow_reference.py``); no module of the package imports it.
+``np.unique``, ``np.union1d`` and ``np.median`` import ``numpy.ma`` on
+their first call, so the pipeline avoids them.  The run-time checks use
+a fresh interpreter, because this test process has imported both long
+before.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "exitcert"
 
 PROBE = """
 import json, sys
@@ -43,6 +46,26 @@ def _probe(calls: list) -> dict:
     )
     assert proc.returncode == 0, proc.stdout + "\n" + proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _imported_roots(tree: ast.AST) -> set:
+    """Top-level package names of every import statement, at any depth."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_package_never_imports_scipy():
+    importers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "scipy" in _imported_roots(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert importers == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,8 +1,7 @@
 """Where the one-point forms of f, l and U may be called.
 
 Grid work evaluates the model on (N, dim) blocks.  The point forms exist
-for the synthesis integrator, which advances one state at a time, and
-for the reference flow of ``oracle.simulate_constant_control``.  This
+for the synthesis integrator, which advances one state at a time.  This
 test reads the package source and fails, naming the function, wherever
 a point form is called from anywhere else.
 """
@@ -24,8 +23,6 @@ ALLOWED_FUNCTIONS = {
     "feedback_select",
     "integrate_leg",
     "synthesize",
-    # the reference flow
-    "simulate_constant_control",
     # the checked point evaluators themselves
     "eval_dynamics",
     "eval_lagrangian",

@@ -19,7 +19,6 @@ from exitcert.systems import (
     TargetSet,
     Trajectory,
     TrajectoryStatus,
-    check_distance_lipschitz,
     eval_block,
     eval_dynamics,
     eval_lagrangian,
@@ -187,6 +186,21 @@ def test_target_distance_validation():
             t3.d_many(X)
     np.testing.assert_array_equal(MT.target.d_many(X), [0.0, 1.0])
     assert MT.target.d(np.array([-0.5])) == 0.5
+
+
+def check_distance_lipschitz(target: TargetSet, points: np.ndarray, tol: float = 1e-9) -> float:
+    """Largest violation of |d(x)-d(y)| <= |x-y| over consecutive sample pairs.
+
+    Returns the worst slack (positive means a violation larger than tol
+    was found, and a ConfigError is raised instead).
+    """
+    pts = np.asarray(points, dtype=float)
+    D = target.d_many(pts)
+    slack = np.abs(np.diff(D)) - np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    worst = float(np.max(slack, initial=-np.inf))
+    if worst > tol:
+        raise ConfigError(f"distance is not 1-Lipschitz on samples (slack {worst})")
+    return worst
 
 
 def test_distance_lipschitz_on_abs():
