@@ -53,6 +53,10 @@ MAX_RECORDS = 32
 # A smooth piece is active where its value is within ACT_TOL of U.
 ACT_TOL = 1e-9
 
+# verify_mrf_band walks its grid in blocks of this many rows: its work
+# arrays span one block, and only a block's band and failing rows outlive it.
+BLOCK_ROWS = 1 << 16
+
 
 # ----------------------------------------------------------------------
 # sampling grids
@@ -97,6 +101,12 @@ class GridSpec:
         axes = self.axes()
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows of ``points()`` at the flat indices idx, bit for bit."""
+        axes = self.axes()
+        sub = np.unravel_index(idx, [len(ax) for ax in axes])
+        return np.stack([ax[i] for ax, i in zip(axes, sub)], axis=-1)
 
     @property
     def n_points(self) -> int:
@@ -368,6 +378,10 @@ class BandCertificate:
 # batch helpers
 
 
+def _in_band(U: np.ndarray, D: np.ndarray, delta: float, sigma: float) -> np.ndarray:
+    return (U >= delta) & (U <= sigma) & (D > D_FLOOR)
+
+
 def sample_band(
     system: ControlSystem,
     mrf: CandidateMrf,
@@ -383,7 +397,7 @@ def sample_band(
     Each sample's H is the largest over the limiting gradients there.
     Returns the samples and the largest sampled gradient norm.
     """
-    band = (U >= delta) & (U <= sigma) & (D > D_FLOOR)
+    band = _in_band(U, D, delta, sigma)
     Xb, Ub = X[band], U[band]
     masks = mrf.active_masks(Xb, Ub)
     worst = np.full(len(Xb), -np.inf)
@@ -480,7 +494,9 @@ def verify_mrf_band(
     sample.  The sampled margins are aggregated into the level table
     m_hat(level) = -max{H : U >= level}, non-decreasing by construction.
 
-    Band membership requires d(x) > D_FLOOR.
+    Band membership requires d(x) > D_FLOOR.  The grid is walked in
+    blocks of BLOCK_ROWS rows, so memory grows with the band, not the
+    grid; the result does not depend on the block size.
     """
     if not 0 < delta < sigma:
         raise ConfigError(f"need 0 < delta < sigma, got delta={delta}, sigma={sigma}")
@@ -490,36 +506,78 @@ def verify_mrf_band(
         raise ConfigError("n_levels must be at least 1")
 
     notes: list[str] = []
-    X = grid.points()
-    U = mrf.u_batch(X)
-    D = target.d_many(X)
-    if np.any(~np.isfinite(U)):
-        bad = X[np.where(~np.isfinite(U))[0][0]]
-        raise SingularDynamics(bad, "candidate value non-finite")
+    n_grid = grid.n_points
+    half = 0.5 * grid.spacing
+    collar_d = d_tol + 2.0 * grid.spacing
+
+    # --- one pass over U and d, block by block -----------------------------
+    # Each block leaves only reductions and its failing and band rows.  An
+    # error raised by U or d propagates at once; a non-finite U is raised
+    # after the pass, so that an error of d in a later block comes first.
+    # Then come the positive-definiteness checks, and only after them is
+    # the band evaluated.
+    nonfinite = None
+    min_off = touch = None
+    touch_i = n_collar = 0
+    posdef_rows, proper_rows, band_rows = [], [], []
+    for start in range(0, n_grid, BLOCK_ROWS):
+        idx = np.arange(start, min(start + BLOCK_ROWS, n_grid))
+        X = grid.rows(idx)
+        U = mrf.u_batch(X)
+        D = target.d_many(X)
+        if nonfinite is None and not np.all(np.isfinite(U)):
+            nonfinite = X[np.argmin(np.isfinite(U))]
+        if nonfinite is not None:
+            continue
+
+        off = D > d_tol
+        bad = off & (U <= 0.0)
+        posdef_rows.append((idx[bad], U[bad], D[bad]))
+        if np.any(off):
+            m = float(np.min(U[off]))
+            min_off = m if min_off is None else min(min_off, m)
+
+        collar = np.flatnonzero(D <= collar_d)
+        if collar.size:
+            gap = np.maximum(U[collar], 0.0)
+            j = int(np.argmin(gap))
+            if touch is None or gap[j] < touch:  # the first minimum in grid order
+                touch, touch_i = float(gap[j]), int(idx[collar[j]])
+            n_collar += collar.size
+
+        face = np.zeros(len(X), dtype=bool)
+        for ax in range(grid.dim):
+            face |= X[:, ax] <= grid.lower[ax] + half
+            face |= X[:, ax] >= grid.upper[ax] - half
+        escaped = face & off & (U > 0.0) & (U <= sigma)
+        proper_rows.append((idx[escaped], U[escaped]))
+
+        band = _in_band(U, D, delta, sigma)
+        band_rows.append((idx[band], U[band], D[band]))
+    if nonfinite is not None:
+        raise SingularDynamics(nonfinite, "candidate value non-finite")
 
     # --- positive definiteness -------------------------------------------
-    off = D > d_tol
-    bad = off & (U <= 0.0)
-    if np.any(bad):
-        idx = np.where(bad)[0]
-        order = idx[np.argsort(U[idx])]
+    # Records are ordered by one argsort over the failing rows in grid
+    # order, the same input, and so the same order among ties, as a
+    # whole-grid pass would sort.
+    bad_idx, bad_u, bad_d = (np.concatenate(part) for part in zip(*posdef_rows))
+    if bad_idx.size:
+        k = np.argsort(bad_u)[:MAX_RECORDS]
         records = [
-            Violation("positive_definiteness", tuple(X[i]), float(U[i]), detail=f"d={D[i]}")
-            for i in order[:MAX_RECORDS]
+            Violation("positive_definiteness", x, u, detail=f"d={d}")
+            for x, u, d in zip(grid.rows(bad_idx[k]), bad_u[k], bad_d[k])
         ]
-        raise PositiveDefinitenessViolation(records, int(bad.sum()))
+        raise PositiveDefinitenessViolation(records, int(bad_idx.size))
 
-    collar = D <= d_tol + 2.0 * grid.spacing
-    posdef: dict = {"d_tol": d_tol, "u_tol": u_tol, "min_u_off_target": float(np.min(U[off])) if np.any(off) else None}
-    if np.any(collar):
-        touch = float(np.min(np.maximum(U[collar], 0.0)))
+    posdef: dict = {"d_tol": d_tol, "u_tol": u_tol, "min_u_off_target": min_off}
+    if n_collar:
         posdef["collar_touch"] = touch
-        posdef["n_collar"] = int(collar.sum())
+        posdef["n_collar"] = n_collar
         if touch > u_tol:
-            i = int(np.where(collar)[0][np.argmin(np.maximum(U[collar], 0.0))])
             rec = Violation(
                 "zero_level_gap",
-                tuple(X[i]),
+                grid.rows(np.array([touch_i]))[0],
                 touch,
                 detail=f"U does not come within {u_tol} of 0 near the target",
             )
@@ -528,35 +586,37 @@ def verify_mrf_band(
         posdef["collar_touch"] = None
         notes.append("no grid samples in the target collar; zero-level check skipped")
 
-    violations: list[Violation] = []
-
     # --- properness proxy -------------------------------------------------
-    half = 0.5 * grid.spacing
-    face = np.zeros(len(X), dtype=bool)
-    for ax in range(grid.dim):
-        face |= X[:, ax] <= grid.lower[ax] + half
-        face |= X[:, ax] >= grid.upper[ax] - half
-    escaped = face & (D > d_tol) & (U > 0.0) & (U <= sigma)
-    if np.any(escaped):
-        idx = np.where(escaped)[0]
-        order = idx[np.argsort(U[idx])]
-        for i in order[:MAX_RECORDS]:
-            violations.append(
-                Violation(
-                    "properness",
-                    tuple(X[i]),
-                    float(U[i]),
-                    detail="sub-level set reaches the sampling box boundary",
-                )
-            )
+    esc_idx, esc_u = (np.concatenate(part) for part in zip(*proper_rows))
+    k = np.argsort(esc_u)[:MAX_RECORDS]
+    violations = [
+        Violation("properness", x, u, detail="sub-level set reaches the sampling box boundary")
+        for x, u in zip(grid.rows(esc_idx[k]), esc_u[k])
+    ]
 
     # --- Hamiltonian decrease on the band ----------------------------------
-    samples, max_p = sample_band(system, mrf, X, U, D, delta, sigma)
-    n_band = len(samples)
+    # The band rows of each grid block are evaluated as one block.
+    n_band = sum(len(idx) for idx, _, _ in band_rows)
     if n_band == 0:
         raise ConfigError(
             f"no grid samples in the band [{delta}, {sigma}]; refine the grid or widen the band"
         )
+    samples = BandSamples(
+        np.empty((n_band, grid.dim)),
+        np.concatenate([u for _, u, _ in band_rows]),
+        np.empty(n_band),
+        tuple(np.empty(n_band, dtype=bool) for _ in mrf.smooth_pieces),
+    )
+    max_p, stop = 0.0, 0
+    for idx, u, d in band_rows:
+        at = slice(stop, stop + len(idx))
+        stop = at.stop
+        block, p = sample_band(system, mrf, grid.rows(idx), u, d, delta, sigma)
+        max_p = max(max_p, p)
+        samples.X[at], samples.H[at] = block.X, block.H
+        for act, part in zip(samples.active, block.active):
+            act[at] = part
+    del band_rows  # before the band-sized work below
     Xb, Ub, H = samples.X, samples.U, samples.H
 
     worst_h = float(np.max(H))
@@ -601,12 +661,12 @@ def verify_mrf_band(
         m_hat_samples=m_hat_samples,
         violations=violations,
         n_band=n_band,
-        n_grid=len(X),
+        n_grid=n_grid,
         grid={
             "lower": grid.lower.tolist(),
             "upper": grid.upper.tolist(),
             "spacing": grid.spacing,
-            "n_points": len(X),
+            "n_points": n_grid,
         },
         control_set=[list(map(float, a)) for a in system.control_set],
         constants=constants,

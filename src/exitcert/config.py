@@ -335,13 +335,18 @@ def _cross_validate(cfg: RunConfig) -> None:
                              f"'{cfg.system.name}' has state dimension {dim}")
 
 
+# libyaml's parser, where PyYAML was built with it, reads the same trees as
+# the pure-Python SafeLoader about ten times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a YAML run config."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.load(p.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {p} is not valid YAML: {exc}") from None
     if raw is None:

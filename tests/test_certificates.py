@@ -1,11 +1,13 @@
 """Band certification, decrease moduli and the auxiliary checks."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import exitcert.certificates as certificates
 from exitcert.certificates import (
     GridSpec,
     IntegrabilityError,
@@ -18,7 +20,7 @@ from exitcert.certificates import (
     verify_mrf_band,
 )
 from exitcert.library import _MU_PROFILES, petrov_demo, power_law, spiral
-from exitcert.systems import ConfigError, NegativeLagrangian
+from exitcert.systems import ConfigError, NegativeLagrangian, SingularDynamics
 
 
 # ----------------------------------------------------------------------
@@ -31,6 +33,11 @@ def test_gridspec_axes_and_points():
     assert g.n_points == 5
     g2 = GridSpec(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.5)
     assert g2.points().shape == (9, 2)
+    # rows() rebuilds any rows of points() without the rest, bit for bit
+    g3 = GridSpec(np.array([-0.3, 0.1, -2.0]), np.array([0.7, 0.45, -1.3]), 0.07)
+    idx = np.random.default_rng(0).permutation(g3.n_points)[:50]
+    assert np.array_equal(g3.rows(idx), g3.points()[idx])
+    assert g3.rows(np.arange(0)).shape == (0, 3)
 
 
 def test_gridspec_validation():
@@ -146,6 +153,107 @@ def test_power_law_rejection_is_fast_and_typed():
     assert exc.value.total > 0
     assert exc.value.violations
     assert exc.value.violations[0].kind == "positive_definiteness"
+
+
+def _power_law_rejection():
+    """The records and total of configs/power_law_reject.yaml's rejection."""
+    ex = power_law(r=0.0, s=-1.0, m1=1.0, m2=1.0, p0_bar=0.5)
+    grid = GridSpec(np.array([-2.0]), np.array([2.0]), 0.01)
+    with pytest.raises(PositiveDefinitenessViolation) as exc:
+        verify_mrf_band(ex.system, ex.target, ex.mrf, 0.05, 1.0, grid)
+    return [v.to_dict() for v in exc.value.violations], exc.value.total
+
+
+def _band_arrays(samples):
+    return (samples.X, samples.U, samples.H) + samples.active
+
+
+# 7-row blocks on spiral_ring's 168,921 points take seconds, so the
+# smallest blocks run on the 1-d grids only.
+@pytest.mark.parametrize(
+    "bundle, block_rows",
+    [("mt", 7), ("mt", 97), ("mt", 1000), ("ring", 97), ("ring", 1000)],
+)
+def test_band_certificate_does_not_depend_on_the_block_size(
+    request, monkeypatch, bundle, block_rows
+):
+    ns = request.getfixturevalue(bundle)  # certified with the default BLOCK_ROWS
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    cert = verify_mrf_band(ns.ex.system, ns.ex.target, ns.ex.mrf, ns.delta, ns.sigma, ns.grid)
+    assert json.dumps(cert.to_dict()) == json.dumps(ns.cert.to_dict())
+    for got, want in zip(_band_arrays(cert.samples), _band_arrays(ns.cert.samples), strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block_rows", [7, 97, 1000])
+def test_rejection_records_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    # U ties exactly at x = +-0.02 and +-0.04: the record order among ties
+    # must come out as the one-block sort gives it
+    want = _power_law_rejection()
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    assert _power_law_rejection() == want
+
+
+def _abs_except(early, late):
+    """|x|, but `early` at x <= -1.9 (the first blocks) and `late` at x >= 1.9 (the last)."""
+
+    def f(X):
+        out = np.abs(X[:, 0])
+        if early is not None:
+            out[X[:, 0] <= -1.9] = early
+        if late is not None:
+            out[X[:, 0] >= 1.9] = late
+        return out
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "u_early, u_late, d_late, error",
+    [
+        # U < 0 late; only the right piece is kept, so no piece is
+        # active on the band's rows at x < 0, which come first
+        (None, -1.0, None, PositiveDefinitenessViolation),
+        (np.nan, None, -1.0, ConfigError),  # d < 0 late, U non-finite early
+        (-1.0, np.nan, None, SingularDynamics),  # U non-finite late, U < 0 early
+    ],
+    ids=["posdef_before_band", "distance_before_nonfinite_u", "nonfinite_u_before_posdef"],
+)
+@pytest.mark.parametrize("block_rows", [certificates.BLOCK_ROWS, 7])
+def test_errors_keep_their_precedence_across_blocks(
+    mt, monkeypatch, u_early, u_late, d_late, error, block_rows
+):
+    """A d error, then a non-finite U, then positive definiteness, then the band."""
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    mrf = replace(
+        mt.ex.mrf,
+        batch_value=_abs_except(u_early, u_late),
+        smooth_pieces=mt.ex.mrf.smooth_pieces[:1],
+    )
+    target = replace(mt.ex.target, batch_distance=_abs_except(None, d_late))
+    with pytest.raises(Exception) as exc:
+        verify_mrf_band(mt.ex.system, target, mrf, mt.delta, mt.sigma, mt.grid)
+    assert exc.type is error
+
+
+def test_verify_memory_follows_the_band_not_the_grid(ring):
+    """Traced peak on spiral_ring's grid: the kept band plus one block's work.
+
+    The grid has 168,921 points, about 2.6 blocks; one float64 array over
+    it is 1.3 MiB.  A block's work is allowed sixteen float64 values per
+    row (8 MiB at the default BLOCK_ROWS).  With numpy 2.4 the blocked
+    walk peaks at 6.5 MiB, and evaluating the whole grid at once at
+    11.5 MiB, with 1.2 MiB kept.
+    """
+    ex = ring.ex
+    tracemalloc.start()
+    try:
+        cert = verify_mrf_band(ex.system, ex.target, ex.mrf, ring.delta, ring.sigma, ring.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in _band_arrays(cert.samples))
+    assert peak < kept + 16 * 8 * certificates.BLOCK_ROWS
 
 
 def test_power_law_exponent_fact():

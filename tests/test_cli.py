@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 import exitcert.certificates
 import exitcert.cli
+import exitcert.config
 from exitcert.certificates import GridSpec
 from exitcert.cli import main, write_value_table_csv
-from exitcert.config import config_from_dict
+from exitcert.config import config_from_dict, load_config
 from exitcert.library import get_example
 from exitcert.synthesis import SynthesisConfig
 from exitcert.systems import ConfigError
@@ -341,6 +342,31 @@ def test_bad_configs_exit_2(tmp_path, text):
 def test_config_errors_name_the_field(text, dotted):
     with pytest.raises(ConfigError, match=rf"config field '{re.escape(dotted)}'"):
         config_from_dict(yaml.safe_load(text))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(text, id=f"bad{i}") for i, text in enumerate(BAD_CONFIGS)]
+    + [pytest.param(p.read_text(), id=p.stem) for p in sorted(CONFIGS.glob("*.yaml"))],
+)
+def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch, text):
+    """load_config parses with libyaml: the same tree, config or error as SafeLoader."""
+    assert exitcert.config._YAML_LOADER is yaml.CSafeLoader
+    path = _write(tmp_path, text, name="c.yaml")
+    results = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(exitcert.config, "_YAML_LOADER", loader)
+        try:
+            tree = repr(yaml.load(text, Loader=loader))
+        except yaml.YAMLError as exc:
+            tree = type(exc)  # libyaml words its messages differently
+        try:
+            parsed = load_config(path).digest()
+        except ConfigError as exc:
+            parsed = ConfigError if isinstance(tree, type) else str(exc)
+        results.append((tree, parsed))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize(

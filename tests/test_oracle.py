@@ -11,7 +11,6 @@ from exitcert.certificates import GridSpec
 from exitcert.config import config_from_dict
 from exitcert.library import minimum_time_1d, power_law, spiral
 from exitcert.oracle import (
-    BIG,
     NonConvergence,
     build_stencils,
     compare_bound,

@@ -9,7 +9,6 @@ from exitcert.library import power_law
 from exitcert.pwl import MonotonePL
 from exitcert.synthesis import (
     FeedbackGap,
-    KLBound,
     LegResult,
     LegStep,
     ModulusError,
