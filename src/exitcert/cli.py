@@ -98,11 +98,11 @@ def write_value_table_csv(path: Path, table) -> None:
     """
     axes = [[repr(v) for v in ax.tolist()] for ax in table.grid.axes()]
     header = [f"x{i + 1}" for i in range(len(axes))] + ["value"]
-    lines = [",".join(header)]
     heads = map(",".join, itertools.product(*axes))
     rows = zip(heads, table.values.tolist(), strict=True)
-    lines.extend(f"{head},{value!r}" for head, value in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:  # streamed: the table never exists as one string
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{head},{value!r}\n" for head, value in rows)
     log.info("wrote %s (%d nodes)", path, table.values.size)
 
 

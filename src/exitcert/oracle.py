@@ -27,7 +27,6 @@ __all__ = [
     "NonConvergence",
     "GridValueTable",
     "build_stencils",
-    "sweep_plan",
     "jacobi_sweep",
     "hjb_value_iteration",
     "compare_bound",
@@ -56,13 +55,17 @@ class NonConvergence(RuntimeError):
 
 
 def build_stencils(system: ControlSystem, grid: GridSpec, h: float):
-    """Precompute interpolation stencils for every (node, control) pair.
+    """Precompute the control-major sweep plan for every (control, node) pair.
 
-    Returns (base, wts, offsets, stage): base[i, k] is the flat index of
-    the lower interpolation corner for the foot x_i + h*f(x_i, a_k), or
-    -1 when the foot leaves the box or the dynamics is singular there;
-    wts[i, k, :] are the multilinear corner weights matching offsets;
-    stage[i, k] = h * l(x_i, a_k).
+    Returns (idx, wts, stage): idx[k, i, c] is the flat index of corner c
+    of the interpolation cell that holds the foot x_i + h*f(x_i, a_k),
+    wts[k, i, c] is that corner's multilinear weight, and
+    stage[k, i] = h * l(x_i, a_k).  Where the foot leaves the box, or f
+    or l is not finite at x_i, stage[k, i] is inf and the cell is the one
+    at index 0, so the control never wins the minimum.  Putting the
+    control axis first makes the minimum over controls an elementwise
+    minimum of whole rows.  The plan is written in place, one control at
+    a time.
     """
     if h <= 0:
         raise ConfigError("time step h must be positive")
@@ -83,10 +86,11 @@ def build_stencils(system: ControlSystem, grid: GridSpec, h: float):
     offsets = np.array([sum(c[j] * strides[j] for j in range(dim)) for c in corners],
                        dtype=np.int64)
 
-    base = np.full((n, n_ctrl), -1, dtype=np.int64)
-    wts = np.zeros((n, n_ctrl, len(corners)), dtype=np.float64)
-    stage = np.zeros((n, n_ctrl), dtype=np.float64)
+    idx = np.empty((n_ctrl, n, len(corners)), dtype=np.int64)
+    wts = np.empty((n_ctrl, n, len(corners)), dtype=np.float64)
+    stage = np.empty((n_ctrl, n), dtype=np.float64)
     lower = np.asarray(grid.lower, dtype=float)
+    limits = np.array([s - 1 for s in shape], dtype=float)
 
     for k in range(n_ctrl):
         a = system.control(k)
@@ -97,48 +101,32 @@ def build_stencils(system: ControlSystem, grid: GridSpec, h: float):
             i = int(np.argmax(bad_l))
             raise NegativeLagrangian(X[i], k, float(L[i]))
 
-        Y = X + h * F
-        cells = (Y - lower) / grid.spacing
-        limits = np.array([s - 1 for s in shape], dtype=float)
-        inside = (
-            np.all(np.isfinite(Y), axis=1)
-            & np.isfinite(L)
-            & np.all(cells >= -1e-9, axis=1)
-            & np.all(cells <= limits[None, :] + 1e-9, axis=1)
-        )
-        cells = np.where(np.isfinite(cells), cells, 0.0)
+        cells = h * F
+        cells += X  # the foot
+        inside = np.all(np.isfinite(cells), axis=1) & np.isfinite(L)
+        np.multiply(h, L, out=stage[k])
+        del F, L  # this control's temporaries live one at a time
+        cells -= lower
+        cells /= grid.spacing
+        inside &= np.all(cells >= -1e-9, axis=1)
+        inside &= np.all(cells <= limits + 1e-9, axis=1)
+        cells[~np.isfinite(cells)] = 0.0
         i0 = np.clip(np.floor(cells).astype(np.int64), 0, np.array(shape) - 2)
-        frac = np.clip(cells - i0, 0.0, 1.0)
+        cells -= i0
+        frac = np.clip(cells, 0.0, 1.0, out=cells)
 
-        flat = (i0 * strides[None, :]).sum(axis=1)
-        w = np.ones((n, len(corners)))
+        base = (i0 * strides[None, :]).sum(axis=1)
+        base[~inside] = 0
+        np.add(base[:, None], offsets, out=idx[k])
         for ci, c in enumerate(corners):
+            w = wts[k, :, ci]
+            w.fill(1.0)
             for j in range(dim):
-                w[:, ci] *= frac[:, j] if c[j] else (1.0 - frac[:, j])
-        base[inside, k] = flat[inside]
-        wts[:, k, :] = w
-        stage[:, k] = np.where(np.isfinite(L), h * L, 0.0)
+                w *= frac[:, j] if c[j] else (1.0 - frac[:, j])
+        stage[k, ~inside] = np.inf
+        del cells, frac, i0, base, inside  # before the next control's dynamics
 
-    return base, wts, offsets, stage
-
-
-def sweep_plan(base: np.ndarray, wts: np.ndarray, offsets: np.ndarray, stage: np.ndarray):
-    """Rearrange build_stencils' output for jacobi_sweep.
-
-    Returns control-major (idx, wts, stage): idx[k, i, c] is the flat
-    index of corner c of the foot of (x_i, a_k), and stage[k, i] is inf
-    where that foot leaves the box, so the control never wins the
-    minimum.  Putting the control axis first makes the minimum over
-    controls an elementwise minimum of whole rows, several times faster
-    than a reduction along a short trailing axis.
-    """
-    inside = base >= 0
-    idx = np.where(inside, base, 0)[:, :, None] + offsets
-    return (
-        np.ascontiguousarray(idx.transpose(1, 0, 2)),
-        np.ascontiguousarray(wts.transpose(1, 0, 2)),
-        np.ascontiguousarray(np.where(inside, stage, np.inf).T),
-    )
+    return idx, wts, stage
 
 
 def jacobi_sweep(values, fixed, idx, wts, stage):
@@ -147,9 +135,12 @@ def jacobi_sweep(values, fixed, idx, wts, stage):
     Every non-fixed node takes
     min(values[i], min_k stage[k, i] + sum_c wts[k, i, c] * values[idx[k, i, c]])
     against the previous table, so the iteration descends monotonically
-    and the result does not depend on node order.
+    and the result does not depend on node order.  Controls are gathered
+    one at a time, so the gather temporary holds one control's corners.
     """
-    best = (stage + np.einsum("knc,knc->kn", wts, values[idx])).min(axis=0)
+    best = stage[0] + np.einsum("nc,nc->n", wts[0], values[idx[0]])
+    for k in range(1, len(stage)):
+        np.minimum(best, stage[k] + np.einsum("nc,nc->n", wts[k], values[idx[k]]), out=best)
     new = np.where(fixed, values, np.minimum(values, best))
     return new, float(np.max(values - new))
 
@@ -220,8 +211,7 @@ def hjb_value_iteration(
             "no grid node lies within target_radius of the target; refine the grid"
         )
 
-    base, wts, offsets, stage = build_stencils(system, grid, h)
-    idx, wts, stage = sweep_plan(base, wts, offsets, stage)
+    idx, wts, stage = build_stencils(system, grid, h)
     pinned = fixed.astype(bool)
 
     t0 = time.perf_counter()

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import certificates
 from .certificates import D_FLOOR, CandidateMrf, DecreaseModulus, GridSpec
 from .pwl import (
     MonotonePL, bisect_root, level_max, lift_strict, lower_strict, pwl_min, sorted_unique,
@@ -805,13 +806,6 @@ def build_sigma_envelopes(
     """
     if not isinstance(grid, GridSpec):
         raise ConfigError("grid must be a GridSpec")
-    X = grid.points()
-    U = mrf.u_batch(X)
-    D = target.d_many(X)
-    keep = np.isfinite(U) & (U >= 0.0)
-    U, D = U[keep], D[keep]
-    if U.size == 0:
-        raise ConfigError("no usable samples: U is negative or undefined on the whole grid")
     # a cell diagonal times (1 + L), with d 1-Lipschitz and L = 1 taken for
     # U whatever the candidate; the pinned synthesis artifacts rest on it
     margin = grid.spacing * np.sqrt(grid.dim) * (1.0 + 1.0)
@@ -823,12 +817,30 @@ def build_sigma_envelopes(
         )
     )
 
-    # lower envelope from samples strictly off the target, upper from every sample
-    pos = D > D_FLOOR
-    if not np.any(pos):
+    # lower envelope from samples strictly off the target, upper from every
+    # usable sample (U finite and >= 0).  The grid is walked in blocks of
+    # certificates.BLOCK_ROWS rows; per-block level maxima merge exactly
+    # with fmax, and NaN stays "no sample".
+    neg_sm = np.full(len(levels), np.nan)
+    sp_raw = np.full(len(levels), np.nan)
+    n_usable = n_off = 0
+    n_grid = grid.n_points
+    for start in range(0, n_grid, certificates.BLOCK_ROWS):
+        X = grid.rows(np.arange(start, min(start + certificates.BLOCK_ROWS, n_grid)))
+        U = mrf.u_batch(X)
+        D = target.d_many(X)
+        keep = np.isfinite(U) & (U >= 0.0)
+        U, D = U[keep], D[keep]
+        pos = D > D_FLOOR
+        n_usable += U.size
+        n_off += int(np.count_nonzero(pos))
+        neg_sm = np.fmax(neg_sm, level_max(levels, U[pos], -D[pos], above=True))
+        sp_raw = np.fmax(sp_raw, level_max(levels, U, D, above=False))
+    if n_usable == 0:
+        raise ConfigError("no usable samples: U is negative or undefined on the whole grid")
+    if n_off == 0:
         raise ConfigError("no samples off the target; enlarge the grid")
-    sm_raw = -level_max(levels, U[pos], -D[pos], above=True)
-    sp_raw = level_max(levels, U, D, above=False)
+    sm_raw = -neg_sm
 
     # ---- sigma_minus: lag by one knot, cap at the identity, strictify down
     xs_m, ys_m = [0.0], [0.0]

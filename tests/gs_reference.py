@@ -3,8 +3,9 @@
 Same semi-Lagrangian operator as ``exitcert.oracle.jacobi_sweep``, but
 applied node by node and in place, alternating the sweep direction, so
 each update already sees the nodes updated earlier in the same sweep.
-It shares only the stencils with the library; the tests compare the
-vectorised kernel's tables against it.
+It shares only the stencils with the library, read in its own
+node-major view; the tests compare the vectorised kernel's tables
+against it.
 """
 
 import numpy as np
@@ -12,15 +13,16 @@ import numpy as np
 from exitcert.oracle import BIG, build_stencils
 
 
-def gs_sweep(values, fixed, base, wts, offsets, stage, reverse):
+def gs_sweep(values, fixed, idx, wts, stage, reverse):
     """One Gauss-Seidel sweep; mutates values and returns the largest decrease.
 
-    Each non-fixed node takes the best one-step value
-    min_k stage[i, k] + sum_c wts[i, k, c] * values[base[i, k] + offsets[c]]
-    over controls whose foot lies in the box (base >= 0), if it improves
-    on the current value.
+    The plan is node-major: each non-fixed node takes the best one-step value
+    min_k stage[i, k] + sum_c wts[i, k, c] * values[idx[i, k, c]]
+    over controls whose foot lies in the box (finite stage), if it
+    improves on the current value.
     """
-    n, n_ctrl = base.shape
+    n, n_ctrl = stage.shape
+    n_corners = idx.shape[2]
     max_change = 0.0
     order = range(n - 1, -1, -1) if reverse else range(n)
     for i in order:
@@ -28,12 +30,11 @@ def gs_sweep(values, fixed, base, wts, offsets, stage, reverse):
             continue
         best = values[i]
         for k in range(n_ctrl):
-            b = base[i, k]
-            if b < 0:
-                continue
             acc = stage[i, k]
-            for c in range(len(offsets)):
-                acc += wts[i, k, c] * values[b + offsets[c]]
+            if acc == np.inf:
+                continue
+            for c in range(n_corners):
+                acc += wts[i, k, c] * values[idx[i, k, c]]
             if acc < best:
                 best = acc
         max_change = max(max_change, values[i] - best)
@@ -59,8 +60,10 @@ def gs_value_table(system, target, grid, h, *, iter_tol=1e-8, max_sweeps=100000,
                    target_radius=None, pin=None):
     """Converged Gauss-Seidel table and its sweep count."""
     values, fixed = initial_table(target, grid, target_radius, pin)
-    base, wts, offsets, stage = build_stencils(system, grid, h)
+    idx, wts, stage = build_stencils(system, grid, h)
+    # the library's plan is control-major; this reference walks node by node
+    plan = idx.transpose(1, 0, 2), wts.transpose(1, 0, 2), stage.T
     for sweep in range(max_sweeps):
-        if gs_sweep(values, fixed, base, wts, offsets, stage, bool(sweep % 2)) <= iter_tol:
+        if gs_sweep(values, fixed, *plan, bool(sweep % 2)) <= iter_tol:
             return values, sweep + 1
     raise AssertionError(f"reference did not converge in {max_sweeps} sweeps")

@@ -163,20 +163,35 @@ verify:
 
 
 def test_verify_evaluates_the_grid_once(tmp_path, monkeypatch):
-    """One full-grid evaluation of U per verify, and no Hamiltonian in the supersolution check."""
+    """U is evaluated once on every grid row, and no Hamiltonian runs in the supersolution check.
+
+    Grid rows are the blocks that ``GridSpec.rows`` builds; U's other
+    calls (the semiconcavity probe) evaluate arrays of their own.  The
+    run is repeated with 1000-row blocks, so that the coarse grid spans
+    seven blocks.
+    """
     cfg = _write(tmp_path, SPIRAL_COARSE_CFG)
     n_grid = 83 * 83
-    full_grid_calls = []
+    built = {}  # id of a GridSpec.rows result -> (that result, its flat indices)
+    evaluated = []
     h_calls = []
     h_calls_in_check = []
+
+    rows = GridSpec.rows
+
+    def recording_rows(self, idx):
+        out = rows(self, idx)
+        built[id(out)] = (out, np.asarray(idx))
+        return out
 
     def counting_example(name, **params):
         ex = get_example(name, **params)
         batch_value = ex.mrf.batch_value
 
         def counted(X):
-            if len(X) == n_grid:
-                full_grid_calls.append(1)
+            made = built.get(id(X))
+            if made is not None and made[0] is X:
+                evaluated.append(made[1])
             return batch_value(X)
 
         return dataclasses.replace(ex, mrf=dataclasses.replace(ex.mrf, batch_value=counted))
@@ -195,13 +210,19 @@ def test_verify_evaluates_the_grid_once(tmp_path, monkeypatch):
         h_calls_in_check.append(len(h_calls) - before)
         return result
 
+    monkeypatch.setattr(GridSpec, "rows", recording_rows)
     monkeypatch.setattr(exitcert.cli, "get_example", counting_example)
     monkeypatch.setattr(exitcert.certificates, "hamiltonian", counting_hamiltonian)
     monkeypatch.setattr(exitcert.cli, "check_supersolution", watched_check)
-    assert main(["verify", "-c", cfg, "-o", str(tmp_path / "out")]) == 0
-    assert len(full_grid_calls) == 1
-    assert h_calls, "the band check evaluates H through certificates.hamiltonian"
-    assert h_calls_in_check == [0]
+    for block_rows in (exitcert.certificates.BLOCK_ROWS, 1000):
+        monkeypatch.setattr(exitcert.certificates, "BLOCK_ROWS", block_rows)
+        for seen in (built, evaluated, h_calls, h_calls_in_check):
+            seen.clear()
+        assert main(["verify", "-c", cfg, "-o", str(tmp_path / f"out{block_rows}")]) == 0
+        assert len(evaluated) == -(-n_grid // block_rows)  # one call per block
+        assert np.array_equal(np.sort(np.concatenate(evaluated)), np.arange(n_grid))
+        assert h_calls, "the band check evaluates H through certificates.hamiltonian"
+        assert h_calls_in_check == [0]
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, mt_cfg):

@@ -11,7 +11,7 @@ from exitcert.certificates import GridSpec
 from exitcert.cli import main
 from exitcert.config import load_config
 from exitcert.library import get_example, minimum_time_1d, spiral
-from exitcert.oracle import build_stencils, hjb_value_iteration, jacobi_sweep, sweep_plan
+from exitcert.oracle import build_stencils, hjb_value_iteration, jacobi_sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -26,8 +26,7 @@ def _spiral_problem():
     ex = spiral(epsilon=0.01)
     grid = GridSpec(np.array([-4.2, -4.2]), np.array([4.2, 4.2]), 0.2)
     values, fixed = initial_table(ex.target, grid)
-    base, wts, offsets, stage = build_stencils(ex.system, grid, 0.2)
-    idx, wts, stage = sweep_plan(base, wts, offsets, stage)
+    idx, wts, stage = build_stencils(ex.system, grid, 0.2)
     return values, fixed.astype(bool), idx, wts, stage
 
 
@@ -55,8 +54,7 @@ def test_jacobi_reaches_an_exact_fixed_point():
     grid = GridSpec(np.array([-2.0]), np.array([2.0]), 0.01)
     values, fixed = initial_table(ex.target, grid)
     fixed = fixed.astype(bool)
-    base, wts, offsets, stage = build_stencils(ex.system, grid, 0.01)
-    idx, wts, stage = sweep_plan(base, wts, offsets, stage)
+    idx, wts, stage = build_stencils(ex.system, grid, 0.01)
 
     change = np.inf
     for _ in range(500):

@@ -1,11 +1,17 @@
 """Leg integration, full synthesis, envelopes and the decay bound."""
 
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import exitcert.certificates as certificates
 import exitcert.synthesis as synthesis_mod
-from exitcert.certificates import DecreaseModulus, build_decrease_modulus
-from exitcert.library import power_law
+from exitcert.certificates import D_FLOOR, DecreaseModulus, build_decrease_modulus
+from exitcert.config import load_config
+from exitcert.library import get_example, power_law
 from exitcert.pwl import MonotonePL
 from exitcert.synthesis import (
     FeedbackGap,
@@ -23,6 +29,8 @@ from exitcert.synthesis import (
     verify_kl,
 )
 from exitcert.systems import ConfigError, TrajectoryStatus
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +380,106 @@ def test_envelopes_sandwich_minimum_time(mt, mt_kl):
 def test_envelopes_sandwich_ring(ring, ring_kl):
     lower_ok, upper_ok, _, _ = _sandwich(ring, ring_kl)
     assert lower_ok and upper_ok
+
+
+@pytest.mark.parametrize("name", ["minimum_time", "spiral_ring"])
+def test_envelopes_sandwich_between_grid_points(name):
+    """sigma_minus(U) <= d off the target and d <= sigma_plus(U) at seeded off-grid points.
+
+    The envelopes come from grid samples; the pad on sigma_plus is what
+    carries them to the points in between.  Points are uniform in the
+    config's verify box, kept where 0 <= U <= sigma.
+    """
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    ex = get_example(cfg.system.name, **cfg.system.params)
+    box = cfg.verify.grid
+    sm, sp = build_sigma_envelopes(
+        ex.mrf, ex.target, cfg.verify.sigma, box, n_knots=cfg.kl.n_knots
+    )
+    X = np.random.default_rng(20121).uniform(box.lower, box.upper, size=(200_000, box.dim))
+    U = ex.mrf.u_batch(X)
+    D = ex.target.d_many(X)
+    sel = np.isfinite(U) & (U >= 0.0) & (U <= cfg.verify.sigma)
+    off = sel & (D > D_FLOOR)
+    assert off.sum() > 10_000
+    assert np.all(sm(U[off]) <= D[off] + 1e-12)
+    assert np.all(D[sel] <= sp(U[sel]) + 1e-12)
+
+
+def _same_envelopes(got, want):
+    return all(
+        np.array_equal(g.xs, w.xs) and np.array_equal(g.ys, w.ys)
+        for g, w in zip(got, want, strict=True)
+    )
+
+
+# 7-row blocks on the ring grid's 168,921 points take seconds, so the
+# smallest blocks run on the 1-d grid only.
+@pytest.mark.parametrize(
+    "bundle, block_rows",
+    [("mt", 7), ("mt", 97), ("mt", 1000), ("ring", 97), ("ring", 1000)],
+)
+def test_envelopes_do_not_depend_on_the_block_size(request, monkeypatch, bundle, block_rows):
+    ns = request.getfixturevalue(bundle)
+    kl_ns = request.getfixturevalue(f"{bundle}_kl")  # built with the default BLOCK_ROWS
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    got = build_sigma_envelopes(ns.ex.mrf, ns.ex.target, ns.sigma, ns.grid)
+    assert _same_envelopes(got, (kl_ns.sigma_minus, kl_ns.sigma_plus))
+
+
+def _split(early, late):
+    """`early(x)` below x = 1.9 and `late(x)` from there on (the last blocks)."""
+    return lambda X: np.where(X[:, 0] < 1.9, early(X[:, 0]), late(X[:, 0]))
+
+
+def _const(c):
+    return lambda x: np.full(len(x), c)
+
+
+@pytest.mark.parametrize(
+    "u, d, message",
+    [
+        # U undefined early and negative late: rows lie off the target,
+        # but none is usable
+        (_split(_const(np.nan), _const(-1.0)), _split(np.abs, np.abs), "no usable samples"),
+        # usable U only in the last blocks, which lie on the target
+        (_split(_const(-1.0), np.abs), _split(np.abs, _const(0.0)),
+         "no samples off the target"),
+        # off-target rows only in the last blocks: enough for both envelopes
+        (_split(np.abs, np.abs), _split(_const(0.0), np.abs), None),
+    ],
+    ids=["no_usable", "usable_rows_on_target", "off_target_rows_late"],
+)
+@pytest.mark.parametrize("block_rows", [certificates.BLOCK_ROWS, 7])
+def test_envelope_errors_wait_for_the_whole_grid(mt, monkeypatch, u, d, message, block_rows):
+    """"No usable samples" comes before "no samples off the target", whatever the blocks."""
+    mrf = replace(mt.ex.mrf, batch_value=u)
+    target = replace(mt.ex.target, batch_distance=d)
+    if message is None:
+        want = build_sigma_envelopes(mrf, target, mt.sigma, mt.grid)  # one block
+        monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+        assert _same_envelopes(build_sigma_envelopes(mrf, target, mt.sigma, mt.grid), want)
+        return
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    with pytest.raises(ConfigError, match=message):
+        build_sigma_envelopes(mrf, target, mt.sigma, mt.grid)
+
+
+def test_envelope_memory_follows_the_block_not_the_grid(ring):
+    """Traced peak of the envelopes on the ring grid: one block's work.
+
+    The grid has 168,921 points, about 2.6 blocks.  A block is allowed
+    sixteen float64 values per row (8 MiB at the default BLOCK_ROWS).
+    With numpy 2.4 the blocked walk peaks at 5.3 MiB, and evaluating the
+    whole grid at once at 9.0 MiB.
+    """
+    tracemalloc.start()
+    try:
+        build_sigma_envelopes(ring.ex.mrf, ring.ex.target, ring.sigma, ring.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * certificates.BLOCK_ROWS
 
 
 def test_envelope_requires_gridspec(mt):
