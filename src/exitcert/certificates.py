@@ -315,20 +315,28 @@ class PositiveDefinitenessViolation(ValueError):
 
 @dataclass(frozen=True)
 class BandSamples:
-    """The band rows of a sampled block, in block order, as verification evaluated them.
+    """Band rows of a grid, in the order given, as verification evaluated them.
 
-    ``X`` and ``U`` hold each sample's point and candidate value, ``H``
-    the worst minimised Hamiltonian over the limiting gradients there,
-    and ``active`` one boolean mask over the samples per smooth piece.
+    ``rows`` holds each sample's flat index into ``grid`` and ``U`` its
+    candidate value.  ``H`` is the worst minimised Hamiltonian over the
+    limiting gradients there, ``piece`` the index of the smooth piece
+    whose gradient gave it (the earlier piece on ties), and ``n_active``
+    the number of active pieces.
     """
 
-    X: np.ndarray
+    grid: GridSpec
+    rows: np.ndarray
     U: np.ndarray
     H: np.ndarray
-    active: tuple
+    piece: np.ndarray
+    n_active: np.ndarray
 
     def __len__(self) -> int:
         return len(self.U)
+
+    def points(self, k) -> np.ndarray:
+        """The points of the samples at positions k."""
+        return self.grid.rows(self.rows[k])
 
 
 @dataclass
@@ -385,77 +393,71 @@ def _in_band(U: np.ndarray, D: np.ndarray, delta: float, sigma: float) -> np.nda
 def sample_band(
     system: ControlSystem,
     mrf: CandidateMrf,
-    X: np.ndarray,
+    grid: GridSpec,
+    rows: np.ndarray,
     U: np.ndarray,
-    D: np.ndarray,
-    delta: float,
-    sigma: float,
 ) -> tuple[BandSamples, float]:
-    """Evaluate the band rows {delta <= U <= sigma, D > D_FLOOR} of a block.
+    """Evaluate H at every limiting gradient of the grid rows given.
 
-    U and D are the candidate and the target distance at the rows of X.
-    Each sample's H is the largest over the limiting gradients there.
-    Returns the samples and the largest sampled gradient norm.
+    U is the candidate at those rows.  Each (row, active piece) pair is
+    evaluated once.  Raises SingularDynamics where an active piece's
+    gradient or H is not finite.  Returns the samples and the largest
+    sampled gradient norm.
     """
-    band = _in_band(U, D, delta, sigma)
-    Xb, Ub = X[band], U[band]
-    masks = mrf.active_masks(Xb, Ub)
-    worst = np.full(len(Xb), -np.inf)
+    X = grid.rows(rows)
+    worst = np.full(len(X), -np.inf)
+    piece = np.zeros(len(X), dtype=np.int8)
+    n_active = np.zeros(len(X), dtype=np.uint8)
     max_p = 0.0
-    for piece, act in zip(mrf.smooth_pieces, masks):
+    for k, (pc, act) in enumerate(zip(mrf.smooth_pieces, mrf.active_masks(X, U))):
         idx = np.flatnonzero(act)
         if idx.size == 0:
             continue
-        P = np.asarray(piece.batch_gradient(Xb[idx]), dtype=float)
+        P = np.asarray(pc.batch_gradient(X[idx]), dtype=float)
+        Hp = hamiltonian(system, X[idx], mrf.p0_bar, P)
+        finite = np.isfinite(Hp) & np.isfinite(P).all(axis=1)
+        if not finite.all():
+            bad = X[idx[np.argmin(finite)]]
+            raise SingularDynamics(bad, f"gradient of piece {pc.name} non-finite")
         max_p = max(max_p, float(np.max(np.linalg.norm(P, axis=1))))
-        Hp = hamiltonian(system, Xb[idx], mrf.p0_bar, P)
-        np.maximum.at(worst, idx, Hp)
-    uncovered = ~np.isfinite(worst)
-    if np.any(uncovered):
-        bad = Xb[np.where(uncovered)[0][0]]
+        n_active[idx] += 1
+        win = Hp > worst[idx]
+        worst[idx[win]] = Hp[win]
+        piece[idx[win]] = k
+    if not n_active.all():
+        bad = X[np.argmin(n_active)]
         raise ConfigError(
             f"no active smooth piece at band point x={bad.tolist()}; "
             "check piece regions and ACT_TOL"
         )
-    return BandSamples(Xb, Ub, worst, tuple(masks)), max_p
+    return BandSamples(grid, rows, U, worst, piece, n_active), max_p
 
 
-def _worst_gradients(
-    system: ControlSystem, mrf: CandidateMrf, X: np.ndarray, U: np.ndarray
-) -> np.ndarray:
-    """At every row, the limiting gradient with the largest H (earlier piece on ties)."""
-    worst = np.full(len(X), -np.inf)
-    grads = np.full(X.shape, np.nan)
-    for piece, act in zip(mrf.smooth_pieces, mrf.active_masks(X, U)):
-        idx = np.flatnonzero(act)
-        if idx.size == 0:
-            continue
-        P = np.asarray(piece.batch_gradient(X[idx]), dtype=float)
-        Hp = hamiltonian(system, X[idx], mrf.p0_bar, P)
-        win = Hp > worst[idx]
-        worst[idx[win]] = Hp[win]
-        grads[idx[win]] = P[win]
-    return grads
+def _winning_gradients(
+    mrf: CandidateMrf, samples: BandSamples, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the samples at positions k and the gradients of their winning pieces."""
+    X = samples.points(k)
+    P = np.zeros_like(X)
+    for i, piece in enumerate(mrf.smooth_pieces):
+        sel = samples.piece[k] == i
+        if np.any(sel):
+            P[sel] = piece.batch_gradient(X[sel])
+    return X, P
 
 
-def _estimate_semiconcavity(mrf: CandidateMrf, Xb: np.ndarray, spacing: float) -> float:
+def _estimate_semiconcavity(mrf: CandidateMrf, samples: BandSamples) -> float:
     """Sampled upper-quadratic constant: positive part of second differences.
 
     About 256 evenly strided probes where exactly one piece is active
     compare U one half spacing along each axis with its first-order
     expansion.
     """
-    X = Xb[:: max(1, len(Xb) // 256)]
-    U0 = mrf.u_batch(X)
-    masks = mrf.active_masks(X, U0)
-    single = np.sum(masks, axis=0) == 1
-    P = np.zeros_like(X)
-    for piece, act in zip(mrf.smooth_pieces, masks):
-        sel = act & single
-        if np.any(sel):
-            P[sel] = piece.batch_gradient(X[sel])
-    X, U0, P = X[single], U0[single], P[single]
-    h = 0.5 * spacing
+    k = np.arange(0, len(samples), max(1, len(samples) // 256))
+    k = k[samples.n_active[k] == 1]
+    X, P = _winning_gradients(mrf, samples, k)
+    U0 = samples.U[k]
+    h = 0.5 * samples.grid.spacing
     worst = 0.0
     for ax in range(X.shape[1]):
         shifted = X.copy()
@@ -553,7 +555,7 @@ def verify_mrf_band(
         proper_rows.append((idx[escaped], U[escaped]))
 
         band = _in_band(U, D, delta, sigma)
-        band_rows.append((idx[band], U[band], D[band]))
+        band_rows.append((idx[band], U[band]))
     if nonfinite is not None:
         raise SingularDynamics(nonfinite, "candidate value non-finite")
 
@@ -596,52 +598,45 @@ def verify_mrf_band(
 
     # --- Hamiltonian decrease on the band ----------------------------------
     # The band rows of each grid block are evaluated as one block.
-    n_band = sum(len(idx) for idx, _, _ in band_rows)
+    n_band = sum(len(idx) for idx, _ in band_rows)
     if n_band == 0:
         raise ConfigError(
             f"no grid samples in the band [{delta}, {sigma}]; refine the grid or widen the band"
         )
-    samples = BandSamples(
-        np.empty((n_band, grid.dim)),
-        np.concatenate([u for _, u, _ in band_rows]),
-        np.empty(n_band),
-        tuple(np.empty(n_band, dtype=bool) for _ in mrf.smooth_pieces),
-    )
-    max_p, stop = 0.0, 0
-    for idx, u, d in band_rows:
-        at = slice(stop, stop + len(idx))
-        stop = at.stop
-        block, p = sample_band(system, mrf, grid.rows(idx), u, d, delta, sigma)
+    columns: list = [[], [], [], [], []]  # rows, U, H, piece, n_active
+    max_p = 0.0
+    for idx, u in band_rows:
+        block, p = sample_band(system, mrf, grid, idx, u)
         max_p = max(max_p, p)
-        samples.X[at], samples.H[at] = block.X, block.H
-        for act, part in zip(samples.active, block.active):
-            act[at] = part
-    del band_rows  # before the band-sized work below
-    Xb, Ub, H = samples.X, samples.U, samples.H
+        for col, part in zip(columns, (block.rows, block.U, block.H, block.piece, block.n_active)):
+            col.append(part)
+    del band_rows, block
+    # column by column: a column's blocks are freed as soon as it is joined
+    samples = BandSamples(grid, *[np.concatenate(columns.pop(0)) for _ in range(5)])
+    H = samples.H
 
     worst_h = float(np.max(H))
     hot = H >= -margin
     if np.any(hot):
         idx = np.where(hot)[0]
         rows = idx[np.argsort(-H[idx])][:MAX_RECORDS]
-        # only the recorded rows: the record carries the offending gradient
-        grads = _worst_gradients(system, mrf, Xb[rows], Ub[rows])
-        for i, p in zip(rows, grads):
-            violations.append(Violation("hamiltonian", tuple(Xb[i]), float(H[i]), p=tuple(p)))
+        # only the recorded rows: the record carries the winning piece's gradient
+        X, P = _winning_gradients(mrf, samples, rows)
+        violations += [Violation("hamiltonian", x, h, p=p) for x, h, p in zip(X, H[rows], P)]
         if len(idx) > MAX_RECORDS:
             notes.append(f"{int(hot.sum())} hamiltonian violations, first {MAX_RECORDS} recorded")
 
     # --- margin table -------------------------------------------------------
     levels = np.linspace(delta, sigma, n_levels)
     m_hat_samples: list[tuple[float, float]] = []
-    for lev, m in zip(levels, -level_max(levels, Ub, H, above=True)):
+    for lev, m in zip(levels, -level_max(levels, samples.U, H, above=True)):
         if np.isnan(m):
             notes.append(f"no band samples at or above level {lev}; level skipped")
             continue
         m_hat_samples.append((float(lev), float(m)))
 
     # --- constants ------------------------------------------------------------
-    rho_hat = _estimate_semiconcavity(mrf, Xb, grid.spacing)
+    rho_hat = _estimate_semiconcavity(mrf, samples)
     constants = {
         "L": 1.5 * max_p if max_p > 0 else 1.0,
         "rho": 1.5 * rho_hat if rho_hat > 0 else 0.0,
@@ -721,22 +716,16 @@ def check_supersolution(
     one piece is active, the sample's worst H is that piece's H, so the
     margin is H + m(U).  Samples where several pieces are active are
     skipped and counted; the inequality there is the band certificate's
-    job.  Gradients are evaluated only at the recorded failures, piece
-    by piece.  A check that reaches no sample fails: it certifies
-    nothing.
+    job.  Failures are recorded piece by piece, then in sample order,
+    and gradients are evaluated only at the recorded ones.  A check
+    that reaches no sample fails: it certifies nothing.
     """
-    idx = np.flatnonzero(np.count_nonzero(samples.active, axis=0) == 1)
+    idx = np.flatnonzero(samples.n_active == 1)
     margins = samples.H[idx] + modulus(samples.U[idx])
-    bad = margins > 0.0
-    failures: list[Violation] = []
-    for piece, act in zip(mrf.smooth_pieces, samples.active):
-        k = np.flatnonzero(bad & act[idx])[: MAX_RECORDS - len(failures)]
-        if k.size:
-            Xf = samples.X[idx[k]]
-            P = np.asarray(piece.batch_gradient(Xf), dtype=float)
-            failures += [
-                Violation("supersolution", x, m, p=p) for x, m, p in zip(Xf, margins[k], P)
-            ]
+    bad = np.flatnonzero(margins > 0.0)
+    k = bad[np.argsort(samples.piece[idx[bad]], kind="stable")][:MAX_RECORDS]
+    X, P = _winning_gradients(mrf, samples, idx[k])
+    failures = [Violation("supersolution", x, m, p=p) for x, m, p in zip(X, margins[k], P)]
 
     return SupersolutionReport(
         passed=not failures and idx.size > 0,

@@ -3,12 +3,14 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import exitcert.certificates as certificates
 from exitcert.certificates import (
+    CandidateMrf,
     GridSpec,
     IntegrabilityError,
     PositiveDefinitenessViolation,
@@ -165,7 +167,7 @@ def _power_law_rejection():
 
 
 def _band_arrays(samples):
-    return (samples.X, samples.U, samples.H) + samples.active
+    return (samples.rows, samples.U, samples.H, samples.piece, samples.n_active)
 
 
 # 7-row blocks on spiral_ring's 168,921 points take seconds, so the
@@ -236,19 +238,29 @@ def test_errors_keep_their_precedence_across_blocks(
     assert exc.type is error
 
 
-def test_verify_memory_follows_the_band_not_the_grid(ring):
-    """Traced peak on spiral_ring's grid: the kept band plus one block's work.
+def _spiral_bundle():
+    """configs/spiral.yaml's verify stage: 674,041 points, a band over 7 blocks."""
+    grid = GridSpec(np.array([-4.1, -4.1]), np.array([4.1, 4.1]), 0.01)
+    return SimpleNamespace(ex=spiral(epsilon=0.5), grid=grid, delta=0.05, sigma=4.0 / 3.0)
 
-    The grid has 168,921 points, about 2.6 blocks; one float64 array over
-    it is 1.3 MiB.  A block's work is allowed sixteen float64 values per
-    row (8 MiB at the default BLOCK_ROWS).  With numpy 2.4 the blocked
-    walk peaks at 6.5 MiB, and evaluating the whole grid at once at
-    11.5 MiB, with 1.2 MiB kept.
+
+@pytest.mark.parametrize("bundle", ["ring", "spiral"])
+def test_verify_memory_follows_the_band_not_the_grid(request, bundle):
+    """Traced peak: the kept band plus one block's work.
+
+    A block's work is allowed sixteen float64 values per row (8 MiB at
+    the default BLOCK_ROWS).  spiral_ring's grid has 168,921 points,
+    about 2.6 blocks; with numpy 2.4 the blocked walk peaks at 6.4 MiB
+    with 0.9 MiB kept, and evaluating the whole grid at once at
+    11.5 MiB.  spiral's band has 446,390 rows over 7 blocks: the peak
+    is 16.3 MiB with 11.1 MiB kept, and 34.1 MiB when the samples keep
+    their points and the grid pass carries each band row's distance.
     """
-    ex = ring.ex
+    ns = request.getfixturevalue("ring") if bundle == "ring" else _spiral_bundle()
+    ex = ns.ex
     tracemalloc.start()
     try:
-        cert = verify_mrf_band(ex.system, ex.target, ex.mrf, ring.delta, ring.sigma, ring.grid)
+        cert = verify_mrf_band(ex.system, ex.target, ex.mrf, ns.delta, ns.sigma, ns.grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,14 +308,21 @@ def _half_line_piece(name, sign, slope):
     )
 
 
+def _kinked(mt, shallow_first=False, shallow_gradient=None):
+    """|x| with two pieces active at x > 0: gradients 1 and 0.5, or shallow_gradient."""
+    steep = _half_line_piece("steep", 1.0, 1.0)
+    shallow = _half_line_piece("shallow", 1.0, 0.5)
+    if shallow_gradient is not None:
+        shallow = replace(shallow, batch_gradient=shallow_gradient)
+    right = (shallow, steep) if shallow_first else (steep, shallow)
+    return replace(mt.ex.mrf, smooth_pieces=right + (_half_line_piece("left", -1.0, 1.0),))
+
+
 @pytest.mark.parametrize("shallow_first", [True, False])
 def test_hamiltonian_record_carries_the_violating_piece_gradient(mt, shallow_first):
     # at x > 0 two pieces are active; with p0 = 0.9 the gradient 1 gives
     # H = -0.1 and the gradient 0.5 gives H = 0.4, so only the latter violates
-    steep = _half_line_piece("steep", 1.0, 1.0)
-    shallow = _half_line_piece("shallow", 1.0, 0.5)
-    right = (shallow, steep) if shallow_first else (steep, shallow)
-    kinked = replace(mt.ex.mrf, smooth_pieces=right + (_half_line_piece("left", -1.0, 1.0),))
+    kinked = _kinked(mt, shallow_first)
     cert = verify_mrf_band(mt.ex.system, mt.ex.target, kinked, 0.05, 1.5, mt.grid)
     assert not cert.certified
     records = [v for v in cert.violations if v.kind == "hamiltonian"]
@@ -314,34 +333,83 @@ def test_hamiltonian_record_carries_the_violating_piece_gradient(mt, shallow_fir
         assert v.value == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("block_rows", [certificates.BLOCK_ROWS, 97])
+def test_each_band_sample_and_active_piece_is_evaluated_once(mt, monkeypatch, block_rows):
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    kinked = _kinked(mt)
+    h_rows, mask_calls = [], []
+    hamiltonian = certificates.hamiltonian
+    active_masks = CandidateMrf.active_masks
+
+    def counting_hamiltonian(system, X, p0, P):
+        h_rows.append(len(X))
+        return hamiltonian(system, X, p0, P)
+
+    def counting_masks(self, X, U):
+        mask_calls.append(len(X))
+        return active_masks(self, X, U)
+
+    monkeypatch.setattr(certificates, "hamiltonian", counting_hamiltonian)
+    monkeypatch.setattr(CandidateMrf, "active_masks", counting_masks)
+    cert = verify_mrf_band(mt.ex.system, mt.ex.target, kinked, 0.05, 1.5, mt.grid)
+    samples = cert.samples
+    assert len([v for v in cert.violations if v.kind == "hamiltonian"]) == 32
+    assert sum(h_rows) == int(np.sum(samples.n_active)) > len(samples)
+    # one call per grid block, on that block's band rows
+    assert len(mask_calls) == -(-mt.grid.n_points // block_rows)
+    assert sum(mask_calls) == len(samples)
+
+
+@pytest.mark.parametrize("two_active", [False, True], ids=["one_active", "two_active"])
+def test_non_finite_gradient_of_an_active_piece_is_singular(mt, two_active):
+    def nan_above_one(X):
+        return np.where(X > 1.0, np.nan, 0.5)
+
+    if two_active:
+        # at 0 < x <= 1 steep and shallow are both active and finite
+        mrf = _kinked(mt, shallow_gradient=nan_above_one)
+        name = "shallow"
+    else:
+        right = mt.ex.mrf.smooth_pieces[0]
+        nan_right = replace(
+            right, batch_gradient=lambda X: np.where(X > 1.0, np.nan, right.batch_gradient(X))
+        )
+        mrf = replace(mt.ex.mrf, smooth_pieces=(nan_right,) + mt.ex.mrf.smooth_pieces[1:])
+        name = "right"
+    with pytest.raises(SingularDynamics, match=f"gradient of piece {name} non-finite") as exc:
+        verify_mrf_band(mt.ex.system, mt.ex.target, mrf, mt.delta, mt.sigma, mt.grid)
+    assert exc.value.x.tolist() == pytest.approx([1.01])  # the first such grid point
+
+
 # ----------------------------------------------------------------------
 # supersolution spot check
 
 
-def _band(ex, pts, band):
-    """The band samples of a point block, as verification evaluates them."""
-    samples, _ = sample_band(
-        ex.system, ex.mrf, pts, ex.mrf.u_batch(pts), ex.target.d_many(pts), *band
-    )
+def _band(ex, grid, band):
+    """The band samples of a whole grid, as verification evaluates them."""
+    rows = np.arange(grid.n_points)
+    pts = grid.rows(rows)
+    U = ex.mrf.u_batch(pts)
+    lo, hi = band
+    keep = (U >= lo) & (U <= hi) & (ex.target.d_many(pts) > certificates.D_FLOOR)
+    samples, _ = sample_band(ex.system, ex.mrf, grid, rows[keep], U[keep])
     return samples
 
 
 def test_supersolution_holds_with_certified_modulus(mt):
-    pts = mt.grid.points()
-    rep = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, pts, (mt.delta, mt.sigma)))
+    rep = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, mt.grid, (mt.delta, mt.sigma)))
     assert rep.passed
     assert rep.n_checked > 0
     assert rep.worst_margin < 0
     # U <= 2 on the grid, so this band holds no point: nothing is certified
-    empty = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, pts, (2.5, 3.0)))
+    empty = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, mt.grid, (2.5, 3.0)))
     assert empty.n_checked == 0
     assert not empty.passed
 
 
 def test_supersolution_fails_with_inflated_modulus(mt):
     inflated = build_decrease_modulus([(lev, 50.0) for lev, _ in mt.cert.m_hat_samples])
-    pts = mt.grid.points()
-    rep = check_supersolution(mt.ex.mrf, inflated, _band(mt.ex, pts, (mt.delta, mt.sigma)))
+    rep = check_supersolution(mt.ex.mrf, inflated, _band(mt.ex, mt.grid, (mt.delta, mt.sigma)))
     assert not rep.passed
     assert rep.failures
     assert rep.failures[0].kind == "supersolution"
@@ -351,8 +419,8 @@ def test_supersolution_caps_failures_in_total():
     # every band point of all three spiral pieces fails against this modulus
     ex = spiral(epsilon=0.5)
     inflated = build_decrease_modulus([(0.5, 50.0), (1.0, 50.0), (1.4, 50.0)])
-    pts = GridSpec(np.array([-4.2, -4.2]), np.array([4.2, 4.2]), 0.1).points()
-    rep = check_supersolution(ex.mrf, inflated, _band(ex, pts, (0.05, 1.3)))
+    grid = GridSpec(np.array([-4.2, -4.2]), np.array([4.2, 4.2]), 0.1)
+    rep = check_supersolution(ex.mrf, inflated, _band(ex, grid, (0.05, 1.3)))
     assert not rep.passed
     assert rep.n_checked > 3 * 32
     assert len(rep.failures) == 32
