@@ -218,7 +218,7 @@ class DecreaseModulus:
         val = self.pl(u)
         if isinstance(val, float):
             return max(val, 0.0)
-        return np.maximum(val, 0.0)
+        return np.maximum(val, 0.0, out=val)
 
     @property
     def top_level(self) -> float:
@@ -597,17 +597,22 @@ def verify_mrf_band(
     ]
 
     # --- Hamiltonian decrease on the band ----------------------------------
-    # The band rows of each grid block are evaluated as one block.
+    # The band rows of each grid block are evaluated as one block.  The
+    # margin table m_hat(level) = -max{H : U >= level} merges the blocks'
+    # level maxima with fmax, so NaN stays "no sample".
     n_band = sum(len(idx) for idx, _ in band_rows)
     if n_band == 0:
         raise ConfigError(
             f"no grid samples in the band [{delta}, {sigma}]; refine the grid or widen the band"
         )
+    levels = np.linspace(delta, sigma, n_levels)
+    top_h = np.full(n_levels, np.nan)
     columns: list = [[], [], [], [], []]  # rows, U, H, piece, n_active
     max_p = 0.0
     for idx, u in band_rows:
         block, p = sample_band(system, mrf, grid, idx, u)
         max_p = max(max_p, p)
+        top_h = np.fmax(top_h, level_max(levels, block.U, block.H, above=True))
         for col, part in zip(columns, (block.rows, block.U, block.H, block.piece, block.n_active)):
             col.append(part)
     del band_rows, block
@@ -627,9 +632,8 @@ def verify_mrf_band(
             notes.append(f"{int(hot.sum())} hamiltonian violations, first {MAX_RECORDS} recorded")
 
     # --- margin table -------------------------------------------------------
-    levels = np.linspace(delta, sigma, n_levels)
     m_hat_samples: list[tuple[float, float]] = []
-    for lev, m in zip(levels, -level_max(levels, samples.U, H, above=True)):
+    for lev, m in zip(levels, -top_h):
         if np.isnan(m):
             notes.append(f"no band samples at or above level {lev}; level skipped")
             continue
@@ -716,23 +720,27 @@ def check_supersolution(
     one piece is active, the sample's worst H is that piece's H, so the
     margin is H + m(U).  Samples where several pieces are active are
     skipped and counted; the inequality there is the band certificate's
-    job.  Failures are recorded piece by piece, then in sample order,
-    and gradients are evaluated only at the recorded ones.  A check
-    that reaches no sample fails: it certifies nothing.
+    job.  The samples' columns are read in place, not copied.  Failures
+    are recorded piece by piece, then in sample order, and gradients are
+    evaluated only at the recorded ones.  A check that reaches no sample
+    fails: it certifies nothing.
     """
-    idx = np.flatnonzero(samples.n_active == 1)
-    margins = samples.H[idx] + modulus(samples.U[idx])
-    bad = np.flatnonzero(margins > 0.0)
-    k = bad[np.argsort(samples.piece[idx[bad]], kind="stable")][:MAX_RECORDS]
-    X, P = _winning_gradients(mrf, samples, idx[k])
+    single = samples.n_active == 1
+    n_checked = int(np.count_nonzero(single))
+    margins = modulus(samples.U)
+    margins += samples.H
+    bad = np.flatnonzero((margins > 0.0) & single)
+    k = bad[np.argsort(samples.piece[bad], kind="stable")][:MAX_RECORDS]
+    X, P = _winning_gradients(mrf, samples, k)
     failures = [Violation("supersolution", x, m, p=p) for x, m, p in zip(X, margins[k], P)]
+    worst = np.max(margins, where=single, initial=-np.inf)
 
     return SupersolutionReport(
-        passed=not failures and idx.size > 0,
+        passed=not failures and n_checked > 0,
         n_points=len(samples),
-        n_checked=int(idx.size),
-        n_skipped=len(samples) - int(idx.size),
-        worst_margin=float(np.max(margins)) if idx.size else float("nan"),
+        n_checked=n_checked,
+        n_skipped=len(samples) - n_checked,
+        worst_margin=float(worst) if n_checked else float("nan"),
         failures=failures,
     )
 

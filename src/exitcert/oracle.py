@@ -247,12 +247,13 @@ def compare_bound(
     table: GridValueTable,
     mrf: CandidateMrf,
     *,
-    p0_bar: Optional[float] = None,
     oracle_tol: Optional[float] = None,
     target: Optional[TargetSet] = None,
     include: Optional[np.ndarray] = None,
 ) -> dict:
     """Check the value bound V <= U / p0_bar + oracle_tol node by node.
+
+    p0_bar is the candidate's own ``mrf.p0_bar``.
 
     The inequality governs states off the target, so when a target is
     supplied its nodes are skipped: there V = 0 trivially while a glued
@@ -264,8 +265,7 @@ def compare_bound(
     default tolerance 2*(h + spacing) matches the first-order accuracy
     of the scheme.
     """
-    if p0_bar is None:
-        p0_bar = mrf.p0_bar
+    p0_bar = mrf.p0_bar
     if p0_bar <= 0:
         raise ConfigError("the value bound needs a positive p0_bar")
     if oracle_tol is None:

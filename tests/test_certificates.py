@@ -21,7 +21,7 @@ from exitcert.certificates import (
     sample_band,
     verify_mrf_band,
 )
-from exitcert.library import _MU_PROFILES, petrov_demo, power_law, spiral
+from exitcert.library import _MU_PROFILES, minimum_time_1d, petrov_demo, power_law, spiral
 from exitcert.systems import ConfigError, NegativeLagrangian, SingularDynamics
 
 
@@ -246,26 +246,50 @@ def _spiral_bundle():
 
 @pytest.mark.parametrize("bundle", ["ring", "spiral"])
 def test_verify_memory_follows_the_band_not_the_grid(request, bundle):
-    """Traced peak: the kept band plus one block's work.
+    """Traced peak of the verify stage: the kept band plus one block's work.
 
-    A block's work is allowed sixteen float64 values per row (8 MiB at
-    the default BLOCK_ROWS).  spiral_ring's grid has 168,921 points,
-    about 2.6 blocks; with numpy 2.4 the blocked walk peaks at 6.4 MiB
-    with 0.9 MiB kept, and evaluating the whole grid at once at
-    11.5 MiB.  spiral's band has 446,390 rows over 7 blocks: the peak
-    is 16.3 MiB with 11.1 MiB kept, and 34.1 MiB when the samples keep
-    their points and the grid pass carries each band row's distance.
+    One window holds verify_mrf_band, build_decrease_modulus and
+    check_supersolution, as ``exitcert verify`` runs them.  A block's
+    work is allowed sixteen float64 values per row (8 MiB at the default
+    BLOCK_ROWS).  spiral_ring's grid has 168,921 points, about 2.6
+    blocks; evaluating the whole grid at once peaked at 11.5 MiB.
+    spiral's band has 446,390 rows over 7 blocks, 11.1 MiB kept: the
+    stage peaks at 16.4 MiB, and at 28.1 MiB when the supersolution
+    check gathers the single-piece samples into copies.
     """
     ns = request.getfixturevalue("ring") if bundle == "ring" else _spiral_bundle()
     ex = ns.ex
     tracemalloc.start()
     try:
         cert = verify_mrf_band(ex.system, ex.target, ex.mrf, ns.delta, ns.sigma, ns.grid)
+        modulus = build_decrease_modulus(cert.m_hat_samples)
+        rep = check_supersolution(ex.mrf, modulus, cert.samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rep.n_checked > 0
     kept = sum(a.nbytes for a in _band_arrays(cert.samples))
     assert peak < kept + 16 * 8 * certificates.BLOCK_ROWS
+
+
+def _short_grid_mt():
+    """minimum_time on [-1, 1]: U <= 1, so the top three levels of [0.05, 1.5] hold no sample."""
+    ex = minimum_time_1d(p0_bar=0.9)
+    grid = GridSpec(np.array([-1.0]), np.array([1.0]), 0.01)
+    return verify_mrf_band(ex.system, ex.target, ex.mrf, 0.05, 1.5, grid).to_dict()
+
+
+@pytest.mark.parametrize("block_rows", [97, 7])
+def test_skipped_levels_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    # most 7-row blocks hold no sample at the upper levels: their NaN
+    # must merge as "no sample", not as a margin
+    want = _short_grid_mt()
+    assert len(want["m_hat_samples"]) == 6
+    skipped = [n for n in want["notes"] if n.startswith("no band samples at or above level")]
+    assert len(skipped) == 3
+    assert all(n.endswith("; level skipped") for n in skipped)
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    assert _short_grid_mt() == want
 
 
 def test_power_law_exponent_fact():
@@ -413,6 +437,19 @@ def test_supersolution_fails_with_inflated_modulus(mt):
     assert not rep.passed
     assert rep.failures
     assert rep.failures[0].kind == "supersolution"
+
+
+def test_supersolution_skips_samples_with_several_active_pieces(mt):
+    # at x > 0 the steep and shallow pieces are both active, and the
+    # shallow gradient gives H = 0.4, so H + m(U) is largest there
+    kinked = _kinked(mt)
+    samples = _band(replace(mt.ex, mrf=kinked), mt.grid, (mt.delta, mt.sigma))
+    rep = check_supersolution(kinked, mt.modulus, samples)
+    assert rep.passed
+    assert rep.n_checked == 146  # the band samples at x < 0
+    assert rep.n_skipped == 145
+    assert rep.worst_margin == pytest.approx(-0.01)
+    assert not rep.failures
 
 
 def test_supersolution_caps_failures_in_total():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_pinned_layer_is_fixed_at_continuation_cost(ring_table):
 def test_compare_bound_rejects_nonpositive_p0(mt_table):
     ex, table = mt_table
     with pytest.raises(ConfigError):
-        compare_bound(table, ex.mrf, p0_bar=0.0)
+        compare_bound(table, replace(ex.mrf, p0_bar=0.0))
 
 
 # ----------------------------------------------------------------------
