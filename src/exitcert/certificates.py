@@ -212,7 +212,6 @@ class DecreaseModulus:
 
     pl: MonotonePL
     eta: float
-    samples: tuple
 
     def __call__(self, u):
         val = self.pl(u)
@@ -266,7 +265,7 @@ def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> Decreas
     pl = MonotonePL(xs, ys)
     if not pl.is_strictly_increasing:
         raise ValueError("modulus construction produced a flat segment")
-    return DecreaseModulus(pl=pl, eta=eta, samples=tuple(pairs))
+    return DecreaseModulus(pl=pl, eta=eta)
 
 
 # ----------------------------------------------------------------------
@@ -862,7 +861,6 @@ def check_weak_petrov(
     points: np.ndarray,
     *,
     p0_bar: float = 0.5,
-    max_records: int = MAX_RECORDS,
 ) -> PetrovReport:
     """Check the directional decrease of d and build the induced gauge.
 
@@ -964,11 +962,11 @@ def check_weak_petrov(
         worst_slack = float(np.max(slack))
         worst_h = float(np.max(h_marg))
         for j in np.flatnonzero((slack > PETROV_TOL) | (h_marg > PETROV_TOL)):
-            if slack[j] > PETROV_TOL and len(failures) < max_records:
+            if slack[j] > PETROV_TOL and len(failures) < MAX_RECORDS:
                 failures.append(Violation("petrov_decrease", Xq[j], slack[j], p=Q[j]))
-            if h_marg[j] > PETROV_TOL and len(failures) < max_records:
+            if h_marg[j] > PETROV_TOL and len(failures) < MAX_RECORDS:
                 failures.append(Violation("petrov_hamiltonian", Xq[j], h_marg[j], p=Qmu[j]))
-            if len(failures) >= max_records:
+            if len(failures) >= MAX_RECORDS:
                 break
 
     return PetrovReport(

@@ -203,7 +203,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
         except ValueError as exc:
             modulus_error = str(exc)
             log.warning("no decrease modulus: %s", exc)
-        if cert.certified and modulus is not None and vcfg.supersolution:
+        if cert.certified and modulus is not None:
             supers = check_supersolution(example.mrf, modulus, cert.samples)
             log.info(
                 "supersolution check: %s (worst margin %.3g over %d points)",
@@ -294,31 +294,7 @@ def cmd_verify(args) -> int:
 # synthesize
 
 
-def _leg_checks(entry: dict) -> dict:
-    """Per-leg invariant checks evaluated from the audit entry."""
-    s_bar = entry["s_bar"]
-    budget = entry["s_bar_budget"]
-    checks = {
-        "step_decrease": bool(entry["step_decrease_worst"] <= 1e-11 * (1.0 + abs(s_bar))),
-        "progress_budget": bool(s_bar <= budget * (1.0 + 1e-9) + 1e-15),
-        "strict_node_decrease": bool(entry["strict_node_decrease"]),
-    }
-    if "integral_decrease_worst" in entry:
-        checks["integral_decrease"] = bool(
-            entry["integral_decrease_worst"] <= entry["integral_decrease_tol"]
-        )
-    else:
-        checks["integral_decrease"] = False
-    if entry["status"] == "reached_level":
-        checks["level_attained"] = bool(
-            entry["u_end"] <= entry["mu_hat"] * (1.0 + 1e-6) + 1e-12
-        )
-    else:
-        checks["level_attained"] = True
-    return checks
-
-
-def _synthesize_one(example, modulus, syn_cfg, sigma_cap, kl, kl_tol, idx, x0):
+def _synthesize_one(example, modulus, syn_cfg, sigma, kl, idx, x0):
     """Run one initial state; returns a report entry and the trajectory."""
     entry: dict = {"index": idx, "x0": [float(v) for v in x0]}
     try:
@@ -329,10 +305,9 @@ def _synthesize_one(example, modulus, syn_cfg, sigma_cap, kl, kl_tol, idx, x0):
             modulus,
             np.asarray(x0, dtype=float),
             syn_cfg,
-            sigma=sigma_cap,
+            sigma=sigma,
         )
-    except (FeedbackGap, StepCollapse, ModulusError, ConfigError,
-            SingularDynamics, NegativeLagrangian, ValueError) as exc:
+    except (FeedbackGap, StepCollapse, ModulusError, SingularDynamics, ValueError) as exc:
         entry.update(
             {
                 "ok": False,
@@ -344,16 +319,6 @@ def _synthesize_one(example, modulus, syn_cfg, sigma_cap, kl, kl_tol, idx, x0):
         return entry, None
 
     rep = res.report()
-    legs = []
-    all_ok = True
-    for leg_entry in rep["legs"]:
-        checks = _leg_checks(leg_entry)
-        leg_entry = dict(leg_entry)
-        leg_entry["checks"] = checks
-        all_ok &= all(checks.values())
-        legs.append(leg_entry)
-    rep["legs"] = legs
-
     traj = res.trajectory
     entry.update(rep)
     entry.update(
@@ -364,13 +329,13 @@ def _synthesize_one(example, modulus, syn_cfg, sigma_cap, kl, kl_tol, idx, x0):
             "n_nodes": traj.n_nodes,
         }
     )
-    if rep["cost_within_bound"] is False:
-        all_ok = False
-    if kl is not None:
-        klrep = verify_kl(traj, kl, tol=kl_tol)
+    ok = (all(all(leg["checks"].values()) for leg in rep["legs"])
+          and rep["cost_within_bound"] is not False)
+    if kl is not None:  # None when the decay certificate could not be built
+        klrep = verify_kl(traj, kl)
         entry["decay_audit"] = klrep.to_dict()
-        all_ok &= klrep.passed
-    entry["ok"] = bool(all_ok)
+        ok = ok and klrep.passed
+    entry["ok"] = bool(ok)
     return entry, traj
 
 
@@ -430,33 +395,25 @@ def cmd_synthesize(args) -> int:
         return EXIT_FAILURE
 
     example = get_example(cfg.system.name, **cfg.system.params)
-    sigma_cap = scfg.band_sigma if scfg.band_sigma is not None else vcfg.sigma
-
     kl = None
-    kl_block: Optional[dict] = None
-    if cfg.kl.enabled:
-        try:
-            sm, sp = build_sigma_envelopes(
-                example.mrf, example.target, vcfg.sigma, vcfg.grid, n_knots=cfg.kl.n_knots
-            )
-            kl = build_kl_bound(sm, sp, modulus, scfg.epsilon)
-            kl_block = {"bound": kl.to_dict(), "axioms": kl.validate_axioms()}
-        except (ConfigError, ValueError) as exc:
-            kl_block = {"error": type(exc).__name__, "message": str(exc)}
-            log.error("decay certificate unavailable: %s", exc)
+    try:
+        sm, sp = build_sigma_envelopes(example.mrf, example.target, vcfg.sigma, vcfg.grid)
+        kl = build_kl_bound(sm, sp, modulus, scfg.epsilon)
+        kl_block = {"bound": kl.to_dict(), "axioms": kl.validate_axioms()}
+    except ValueError as exc:
+        kl_block = {"error": type(exc).__name__, "message": str(exc)}
+        log.error("decay certificate unavailable: %s", exc)
 
     entries = []
     for idx, x0 in enumerate(scfg.initial_states):
-        entry, traj = _synthesize_one(
-            example, modulus, scfg, sigma_cap, kl, cfg.kl.tol, idx, x0
-        )
+        entry, traj = _synthesize_one(example, modulus, scfg, vcfg.sigma, kl, idx, x0)
         if traj is not None:
             fname = f"trajectory_{entry['index']}.csv"
             write_trajectory_csv(out / fname, traj)
             entry["trajectory_file"] = fname
         entries.append(entry)
 
-    axioms_ok = kl_block is None or bool(kl_block.get("axioms", {}).get("passed", False))
+    axioms_ok = bool(kl_block.get("axioms", {}).get("passed", False))
     all_ok = axioms_ok and all(e.get("ok", False) for e in entries)
 
     report = _provenance(cfg, seed)
@@ -467,7 +424,7 @@ def cmd_synthesize(args) -> int:
             "forced": bool(args.force and not passed),
             "certified": passed,
             "epsilon": scfg.epsilon,
-            "band_top": sigma_cap,
+            "band_top": vcfg.sigma,
             "decay_certificate": kl_block,
             "states": entries,
         }
@@ -569,8 +526,7 @@ def cmd_oracle(args) -> int:
 
     analytic = None
     if "analytic_value" in example.facts:
-        fn = example.facts["analytic_value"]
-        err, where = table.sup_error(lambda X: np.array([fn(x) for x in X]))
+        err, where = table.sup_error(example.facts["analytic_value"])
         analytic = {"sup_error": err, "at": [float(v) for v in np.atleast_1d(where)]}
         log.info("sup distance to the closed form: %.3g", err)
 

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .certificates import GridSpec
-from .library import EXAMPLES
+from .library import _MU_PROFILES, EXAMPLES
 from .synthesis import SynthesisConfig
 from .systems import ConfigError
 
@@ -32,7 +32,6 @@ __all__ = [
     "VerifySection",
     "PetrovSection",
     "SynthesisSection",
-    "KLSection",
     "OracleSection",
     "OutputSection",
     "RunConfig",
@@ -206,33 +205,24 @@ class VerifySection:
     u_tol: float = _bounded(0.05, lo=0.0)
     eta: float = _bounded(0.1, lo=0.0, lo_open=True, hi=0.9)
     n_levels: int = _bounded(9, lo=2, hi=4096)
-    supersolution: bool = True
 
 
 @dataclass(frozen=True)
 class PetrovSection:
     enabled: bool = False
-    profile: str = _bounded("sqrt", choices=("sqrt", "linear", "constant"))
+    profile: str = _bounded("sqrt", choices=tuple(_MU_PROFILES))
     delta: float = _bounded(1.0, lo=0.0, lo_open=True)
     p0_bar: float = _bounded(0.5, lo=0.0, lo_open=True, hi=1.0)
 
 
 @dataclass(frozen=True, kw_only=True)
 class SynthesisSection(SynthesisConfig):
-    """The integrator's tunables plus the start states and an optional band top.
+    """The integrator's tunables plus the start states.
 
     Each tunable's range is checked once, in ``SynthesisConfig.__post_init__``.
     """
 
     initial_states: tuple
-    band_sigma: Optional[float] = _bounded(None, lo=0.0, lo_open=True)
-
-
-@dataclass(frozen=True)
-class KLSection:
-    enabled: bool = True
-    n_knots: int = _bounded(33, lo=4, hi=100000)
-    tol: float = _bounded(1e-9, lo=0.0)
 
 
 @dataclass(frozen=True)
@@ -260,7 +250,6 @@ class RunConfig:
     system: SystemConfig
     verify: Optional[VerifySection] = None
     synthesis: Optional[SynthesisSection] = None
-    kl: KLSection = field(default_factory=KLSection)
     oracle: Optional[OracleSection] = None
     petrov: PetrovSection = field(default_factory=PetrovSection)
     output: OutputSection = field(default_factory=OutputSection)

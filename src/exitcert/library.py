@@ -87,7 +87,7 @@ def minimum_time_1d(p0_bar: float = 0.9) -> ExampleSpec:
         system=system,
         target=_origin_target(),
         mrf=mrf,
-        facts={"analytic_value": lambda x: abs(float(x[0]))},
+        facts={"analytic_value": lambda X: np.abs(X[:, 0])},
     )
 
 
@@ -171,7 +171,7 @@ def power_law(
     facts: dict = {"exponent": e}
     if r == 0.0 and s > -1.0:
         # with unit speed the optimal cost from x is integrable in closed form
-        facts["analytic_value"] = lambda x: m2 * abs(float(x[0])) ** (s + 1.0) / (m1 * (s + 1.0))
+        facts["analytic_value"] = lambda X: m2 * np.abs(X[:, 0]) ** (s + 1.0) / (m1 * (s + 1.0))
     return ExampleSpec(
         name="power_law",
         params={"r": r, "s": s, "m1": m1, "m2": m2, "p0_bar": p0_bar},
@@ -417,7 +417,6 @@ def petrov_demo(profile: str = "sqrt", delta: float = 1.0, p0_bar: float = 0.5) 
         system=base.system,
         target=base.target,
         mrf=mrf,
-        facts={"mu": mu, "delta": delta, "profile": profile},
     )
 
 

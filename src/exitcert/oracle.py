@@ -198,27 +198,26 @@ def hjb_value_iteration(
         target_radius = grid.spacing / 2.0
 
     X = grid.points()
-    fixed = (target.d_many(X) <= target_radius).astype(np.uint8)
+    fixed = target.d_many(X) <= target_radius
     values = np.full(X.shape[0], BIG, dtype=np.float64)
-    values[fixed.astype(bool)] = 0.0
+    values[fixed] = 0.0
     if pin is not None:
         mask, value = pin
         mask = np.asarray(mask, dtype=bool)
         values[mask] = float(value)
-        fixed[mask] = 1
+        fixed[mask] = True
     if not np.any(fixed):
         raise ConfigError(
             "no grid node lies within target_radius of the target; refine the grid"
         )
 
     idx, wts, stage = build_stencils(system, grid, h)
-    pinned = fixed.astype(bool)
 
     t0 = time.perf_counter()
     sweeps = 0
     change = np.inf
     while sweeps < max_sweeps:
-        values, change = jacobi_sweep(values, pinned, idx, wts, stage)
+        values, change = jacobi_sweep(values, fixed, idx, wts, stage)
         sweeps += 1
         if change <= iter_tol:
             break

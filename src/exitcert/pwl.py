@@ -111,10 +111,6 @@ class MonotonePL:
     # structure
 
     @property
-    def min_slope(self) -> float:
-        return float(np.min(np.diff(self.ys) / np.diff(self.xs)))
-
-    @property
     def is_strictly_increasing(self) -> bool:
         return bool(np.all(np.diff(self.ys) > 0))
 

@@ -254,6 +254,12 @@ class LegTimes:
     residual_max: float      # worst relative ODE residual of the t-parameterized path
 
 
+# build_sigma_envelopes' linear ladder has this many levels from 0 to sigma
+ENVELOPE_KNOTS = 33
+
+# verify_kl passes a node whose distance exceeds the decay bound by at most this
+KL_TOL = 1e-9
+
 # deterministic work counters of integrate_leg, per leg and summed per state
 WORK_COUNTERS = ("rk4_substeps", "rk4_paths", "rejected_trials", "crossing_evals",
                  "accepted_steps")
@@ -595,17 +601,26 @@ class SynthesisResult:
         return self.trajectory.total_cost
 
     def report(self) -> dict:
+        """The audit tree: per-leg measurements, each leg with its pass/fail ``checks``."""
         per_leg = []
         for leg in self.legs:
+            tm = leg.times
             step_decrease = []
+            integral_dec = []
             strict_nodes = True
-            for st in leg.steps:
+            for j, st in enumerate(leg.steps):
                 n = len(st.states) - 1
                 step_decrease.append(
                     float(np.max(st.u - st.u[0] + st.s / (leg.epsilon + 1.0)))
                 )
                 if n > 1 and np.any(st.u[1:-1] <= st.u[-1]):
                     strict_nodes = False
+                du = float(st.u[-1] - st.u[0])
+                integral_dec.append(
+                    du
+                    + (self.p0_bar * tm.cost_steps[j] + tm.m_int_steps[j])
+                    / (leg.epsilon + 1.0)
+                )
             entry = {
                 "mu_bar": leg.mu_bar,
                 "mu_hat": leg.mu_hat,
@@ -618,23 +633,27 @@ class SynthesisResult:
                 "strict_node_decrease": strict_nodes,
                 "s_bar_budget": (leg.epsilon + 1.0) * leg.u0,
                 "work": dict(leg.work),
+                "integral_decrease_worst": max(integral_dec) if integral_dec else 0.0,
+                "integral_decrease_tol": 10.0 * tm.quad_err + 1e-12,
+                "quad_err": tm.quad_err,
+                "residual_max": tm.residual_max,
+                "t_total": float(tm.t_sub[-1]),
+                "cost_total": float(tm.cost_sub[-1]),
             }
-            if leg.times is not None:
-                tm = leg.times
-                integral_dec = []
-                for j, st in enumerate(leg.steps):
-                    du = float(st.u[-1] - st.u[0])
-                    integral_dec.append(
-                        du
-                        + (self.p0_bar * tm.cost_steps[j] + tm.m_int_steps[j])
-                        / (leg.epsilon + 1.0)
-                    )
-                entry["integral_decrease_worst"] = max(integral_dec) if integral_dec else 0.0
-                entry["integral_decrease_tol"] = 10.0 * tm.quad_err + 1e-12
-                entry["quad_err"] = tm.quad_err
-                entry["residual_max"] = tm.residual_max
-                entry["t_total"] = float(tm.t_sub[-1])
-                entry["cost_total"] = float(tm.cost_sub[-1])
+            s_bar = entry["s_bar"]
+            checks = {
+                "step_decrease": entry["step_decrease_worst"] <= 1e-11 * (1.0 + abs(s_bar)),
+                "progress_budget": s_bar <= entry["s_bar_budget"] * (1.0 + 1e-9) + 1e-15,
+                "strict_node_decrease": strict_nodes,
+                "integral_decrease": (
+                    entry["integral_decrease_worst"] <= entry["integral_decrease_tol"]
+                ),
+                "level_attained": (
+                    leg.status is not TrajectoryStatus.REACHED_LEVEL
+                    or leg.u_end <= leg.mu_hat * (1.0 + 1e-6) + 1e-12
+                ),
+            }
+            entry["checks"] = {name: bool(ok) for name, ok in checks.items()}
             per_leg.append(entry)
         return {
             "u0": self.u0,
@@ -784,8 +803,6 @@ def build_sigma_envelopes(
     target: TargetSet,
     sigma: float,
     grid,
-    *,
-    n_knots: int = 33,
 ) -> tuple[MonotonePL, MonotonePL]:
     """Sampled monotone envelopes squeezing d between functions of U.
 
@@ -813,7 +830,7 @@ def build_sigma_envelopes(
     # knot levels: linear ladder plus geometric refinement near 0
     levels = sorted_unique(
         np.concatenate(
-            [np.linspace(0.0, sigma, n_knots)[1:], sigma * 0.5 ** np.arange(1, 21)]
+            [np.linspace(0.0, sigma, ENVELOPE_KNOTS)[1:], sigma * 0.5 ** np.arange(1, 21)]
         )
     )
 
@@ -993,17 +1010,18 @@ class KLReport:
         }
 
 
-def verify_kl(trajectory: Trajectory, kl: KLBound, *, tol: float = 1e-9) -> KLReport:
-    """Check d(z(t)) <= beta(d(z(0)), t) + tol along a synthesized trajectory."""
+def verify_kl(trajectory: Trajectory, kl: KLBound) -> KLReport:
+    """Check d(z(t)) <= beta(d(z(0)), t) + KL_TOL along a synthesized trajectory."""
     if trajectory.n_nodes == 0:
-        return KLReport(passed=True, worst_slack=float("-inf"), worst_time=0.0, n_nodes=0, tol=tol)
+        return KLReport(passed=True, worst_slack=float("-inf"), worst_time=0.0, n_nodes=0,
+                        tol=KL_TOL)
     bounds = kl.beta(float(trajectory.d[0]), trajectory.t)
     slack = trajectory.d - bounds
     i = int(np.argmax(slack))
     return KLReport(
-        passed=bool(slack[i] <= tol),
+        passed=bool(slack[i] <= KL_TOL),
         worst_slack=float(slack[i]),
         worst_time=float(trajectory.t[i]),
         n_nodes=trajectory.n_nodes,
-        tol=tol,
+        tol=KL_TOL,
     )

@@ -570,7 +570,8 @@ def test_petrov_checks_unit_cost_on_every_sample():
 
 
 @pytest.mark.parametrize("max_records", [32, 5])
-def test_petrov_records_pair_by_pair_up_to_the_cap(max_records):
+def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
+    monkeypatch.setattr(certificates, "MAX_RECORDS", max_records)
     ex = petrov_demo("sqrt")
     # at speed 1/4 both checks fail wherever sqrt(d) > 1/4
     slow = replace(
@@ -579,9 +580,7 @@ def test_petrov_records_pair_by_pair_up_to_the_cap(max_records):
         batch_dynamics=lambda X, a: np.full((len(X), 1), 0.25 * a[0]),
     )
     pts = _petrov_points()
-    rep = check_weak_petrov(
-        slow, ex.target, _MU_PROFILES["sqrt"], 1.0, pts, max_records=max_records
-    )
+    rep = check_weak_petrov(slow, ex.target, _MU_PROFILES["sqrt"], 1.0, pts)
     assert not rep.ok
     assert len(rep.failures) == max_records
     kinds = ["petrov_decrease", "petrov_hamiltonian"] * max_records

@@ -417,7 +417,9 @@ def test_yaml_and_library_share_synthesis_bounds(key, value):
 
 
 @pytest.mark.parametrize(
-    "section, key", [(None, "threads"), ("synthesis", "band_delta"), ("verify", "max_points")]
+    "section, key",
+    [(None, "threads"), ("synthesis", "band_delta"), ("verify", "max_points"), (None, "kl"),
+     ("verify", "supersolution"), ("synthesis", "band_sigma")],
 )
 def test_removed_knobs_are_unknown_keys(section, key):
     raw = yaml.safe_load(MT_CFG)
@@ -426,10 +428,7 @@ def test_removed_knobs_are_unknown_keys(section, key):
         config_from_dict(raw)
 
 
-@pytest.mark.parametrize(
-    "section, key", [("oracle", "target_radius"), ("oracle", "oracle_tol"),
-                     ("synthesis", "band_sigma")],
-)
+@pytest.mark.parametrize("section, key", [("oracle", "target_radius"), ("oracle", "oracle_tol")])
 def test_null_optional_field_takes_its_default(section, key):
     raw = yaml.safe_load(MT_CFG)
     digest = config_from_dict(raw).digest()
@@ -437,7 +436,7 @@ def test_null_optional_field_takes_its_default(section, key):
     assert config_from_dict(raw).digest() == digest
 
 
-@pytest.mark.parametrize("section, key", [("verify", "supersolution"), ("output", "dir")])
+@pytest.mark.parametrize("section, key", [("petrov", "enabled"), ("output", "dir")])
 def test_null_is_no_value_for_other_fields(section, key):
     raw = yaml.safe_load(MT_CFG)
     raw.setdefault(section, {})[key] = None
@@ -529,6 +528,22 @@ def test_synthesize_refuses_a_verify_report_from_another_version(tmp_path, capsy
     assert main(["synthesize", "-c", cfg, "-o", str(out), "--force"]) == 1
     assert "from another run" in capsys.readouterr().out
     assert not (out / "synthesis_report.json").exists()
+
+
+def test_synthesize_refuses_a_start_above_the_certified_band(tmp_path, capsys):
+    cfg, out = _verified(tmp_path, MT_CFG.replace("[[1.0]]", "[[1.55]]"))
+    capsys.readouterr()
+    assert main(["synthesize", "-c", cfg, "-o", str(out)]) == 1
+    assert "0/1 states ok" in capsys.readouterr().out
+    rep = json.loads((out / "synthesis_report.json").read_text())
+    assert rep["certified"] is True
+    assert rep["passed"] is False
+    assert rep["band_top"] == 1.5
+    state = rep["states"][0]
+    assert state["ok"] is False
+    assert state["error"] == "ConfigError"
+    assert "certified band top 1.5" in state["message"]
+    assert not (out / "trajectory_0.csv").exists()
 
 
 def test_synthesize_ignores_the_verify_seed(tmp_path):

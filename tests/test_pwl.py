@@ -225,8 +225,3 @@ def test_identity():
     xs = np.array([0.0, 1.0, 2.0])
     ident = MonotonePL.identity(xs)
     np.testing.assert_allclose(ident(xs), xs)
-
-
-def test_min_slope():
-    pl = MonotonePL(np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 2.5]))
-    assert pl.min_slope == pytest.approx(0.25)

@@ -219,7 +219,7 @@ def test_reparam_handles_a_shorter_last_pair(mt):
     s = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.05, 1.1])
     length = s[-1]
     identity = DecreaseModulus(pl=MonotonePL(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-                               eta=0.1, samples=())
+                               eta=0.1)
     a, b, c = 1.0 / 1.8, 0.1, 0.1
 
     # 1/g linear in s: the trapezoid sums are exact
@@ -296,9 +296,14 @@ def test_synthesis_report_shape(mt_synthesis):
         "mu_bar", "mu_hat", "status", "n_steps", "s_bar", "u_end",
         "partition_diameter", "step_decrease_worst", "strict_node_decrease",
         "s_bar_budget", "integral_decrease_worst", "integral_decrease_tol",
-        "quad_err", "residual_max", "t_total", "cost_total",
+        "quad_err", "residual_max", "t_total", "cost_total", "checks",
     ):
         assert key in leg0
+    for leg in rep["legs"]:
+        assert leg["checks"] == dict.fromkeys(
+            ("step_decrease", "progress_budget", "strict_node_decrease",
+             "integral_decrease", "level_attained"), True
+        )
 
 
 def test_ring_synthesis_runs_at_zero_cost(ring, ring_synthesis):
@@ -393,9 +398,7 @@ def test_envelopes_sandwich_between_grid_points(name):
     cfg = load_config(CONFIGS / f"{name}.yaml")
     ex = get_example(cfg.system.name, **cfg.system.params)
     box = cfg.verify.grid
-    sm, sp = build_sigma_envelopes(
-        ex.mrf, ex.target, cfg.verify.sigma, box, n_knots=cfg.kl.n_knots
-    )
+    sm, sp = build_sigma_envelopes(ex.mrf, ex.target, cfg.verify.sigma, box)
     X = np.random.default_rng(20121).uniform(box.lower, box.upper, size=(200_000, box.dim))
     U = ex.mrf.u_batch(X)
     D = ex.target.d_many(X)
