@@ -173,7 +173,7 @@ class CandidateMrf:
             act = np.array(piece.batch_region(X), dtype=bool)
             sel = np.flatnonzero(act)
             if sel.size:
-                pv = np.asarray(piece.batch_value(X[sel]), dtype=float)
+                pv = np.asarray(piece.batch_value(X.take(sel, axis=0)), dtype=float)
                 act[sel] = np.abs(pv - U[sel]) <= ACT_TOL
             masks.append(act)
         return masks
@@ -412,13 +412,16 @@ def sample_band(
         idx = np.flatnonzero(act)
         if idx.size == 0:
             continue
-        P = np.asarray(pc.batch_gradient(X[idx]), dtype=float)
-        Hp = hamiltonian(system, X[idx], mrf.p0_bar, P)
-        finite = np.isfinite(Hp) & np.isfinite(P).all(axis=1)
-        if not finite.all():
-            bad = X[idx[np.argmin(finite)]]
+        Xa = X.take(idx, axis=0)
+        P = np.asarray(pc.batch_gradient(Xa), dtype=float)
+        Hp = hamiltonian(system, Xa, mrf.p0_bar, P)
+        # whole-array checks first: the row mask is built only to name a bad row
+        if not (np.isfinite(Hp).all() and np.isfinite(P).all()):
+            finite = np.isfinite(Hp) & np.isfinite(P).all(axis=1)
+            bad = Xa[np.argmin(finite)]
             raise SingularDynamics(bad, f"gradient of piece {pc.name} non-finite")
-        max_p = max(max_p, float(np.max(np.linalg.norm(P, axis=1))))
+        # einsum rounds each row's squared norm as np.linalg.norm(P, axis=1) does
+        max_p = max(max_p, float(np.sqrt(np.max(np.einsum("ij,ij->i", P, P)))))
         n_active[idx] += 1
         win = Hp > worst[idx]
         worst[idx[win]] = Hp[win]

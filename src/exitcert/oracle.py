@@ -103,19 +103,27 @@ def build_stencils(system: ControlSystem, grid: GridSpec, h: float):
 
         cells = h * F
         cells += X  # the foot
-        inside = np.all(np.isfinite(cells), axis=1) & np.isfinite(L)
+        # loops over the dim columns: a row reduction over the short state
+        # axis costs more than dim flat passes, and booleans and int64 sums
+        # come out the same either way
+        inside = np.isfinite(L)
+        for j in range(dim):
+            inside &= np.isfinite(cells[:, j])
         np.multiply(h, L, out=stage[k])
         del F, L  # this control's temporaries live one at a time
         cells -= lower
         cells /= grid.spacing
-        inside &= np.all(cells >= -1e-9, axis=1)
-        inside &= np.all(cells <= limits + 1e-9, axis=1)
+        for j in range(dim):
+            inside &= cells[:, j] >= -1e-9
+            inside &= cells[:, j] <= limits[j] + 1e-9
         cells[~np.isfinite(cells)] = 0.0
         i0 = np.clip(np.floor(cells).astype(np.int64), 0, np.array(shape) - 2)
         cells -= i0
         frac = np.clip(cells, 0.0, 1.0, out=cells)
 
-        base = (i0 * strides[None, :]).sum(axis=1)
+        base = i0[:, 0] * strides[0]
+        for j in range(1, dim):
+            base += i0[:, j] * strides[j]
         base[~inside] = 0
         np.add(base[:, None], offsets, out=idx[k])
         for ci, c in enumerate(corners):

@@ -277,6 +277,7 @@ class LegResult:
     u0: float          # U(x0)
     mu_bar: float
     mu_hat: float
+    sigma: float       # the band top of the field's cutoff
     epsilon: float
     status: TrajectoryStatus
     steps: list
@@ -478,6 +479,7 @@ def integrate_leg(
         u0=u0,
         mu_bar=mu_bar,
         mu_hat=mu_hat,
+        sigma=sigma,
         epsilon=config.epsilon,
         status=status,
         steps=steps,
@@ -550,12 +552,13 @@ def reparam_to_time(
             raise ModulusError(st.states[i], float(g_vals[i]))
         z_mid = 0.5 * (st.states[:-1] + st.states[1:])
         u_mid = 0.5 * (st.u[:-1] + st.u[1:])
-        psi = [_cutoff(u, leg.mu_hat, modulus.top_level) for u in u_mid.tolist()]
+        psi = [_cutoff(u, leg.mu_hat, leg.sigma) for u in u_mid.tolist()]
         f_raw, _ = eval_block(system, z_mid, st.a_index, lagrangian=False)
         f_mid = np.asarray(psi)[:, None] * f_raw
         r = (st.states[1:] - st.states[:-1]) / dt[:, None] - f_mid
-        # np.vecdot (numpy >= 2.0) rounds each row like np.linalg.norm on that row;
-        # norm(axis=1) and einsum may round differently
+        # np.vecdot (numpy >= 2.0) rounds each row like np.linalg.norm on that one
+        # row; np.linalg.norm(axis=1) rounds like einsum, which may differ (see
+        # sample_band's max_p)
         res = np.sqrt(np.vecdot(r, r)) / (1.0 + np.sqrt(np.vecdot(f_mid, f_mid)))
         residual_max = max(residual_max, float(np.max(res)))
 

@@ -136,12 +136,13 @@ def eval_block(
     a = system.control(a_index)
     F = np.asarray(system.batch_dynamics(X, a), dtype=float) if dynamics else None
     L = np.asarray(system.batch_lagrangian(X, a), dtype=float) if lagrangian else None
-    finite = np.ones(len(X), dtype=bool)
-    if F is not None:
-        finite &= np.isfinite(F).all(axis=1)
-    if L is not None:
-        finite &= np.isfinite(L)
-    if not finite.all():
+    # whole-array checks first: the row mask is built only to name a bad row
+    if not ((F is None or np.isfinite(F).all()) and (L is None or np.isfinite(L).all())):
+        finite = np.ones(len(X), dtype=bool)
+        if F is not None:
+            finite &= np.isfinite(F).all(axis=1)
+        if L is not None:
+            finite &= np.isfinite(L)
         bad = int(np.argmin(finite))
         raise SingularDynamics(X[bad], f"f or l of control index {a_index}")
     if L is not None and np.any(L < 0):

@@ -405,6 +405,73 @@ def test_non_finite_gradient_of_an_active_piece_is_singular(mt, two_active):
     assert exc.value.x.tolist() == pytest.approx([1.01])  # the first such grid point
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["grid_order", "reversed"])
+def test_sample_band_names_the_first_non_finite_gradient_row(mt, order):
+    # the right piece's gradient is inf at x = 0.5 and NaN at x = 1.2; the
+    # error names whichever of the two comes first in the rows given
+    right = mt.ex.mrf.smooth_pieces[0]
+
+    def gradient(X):
+        G = np.array(right.batch_gradient(X), dtype=float)
+        G[np.isclose(X[:, 0], 0.5)] = np.inf
+        G[np.isclose(X[:, 0], 1.2)] = np.nan
+        return G
+
+    mrf = replace(mt.ex.mrf, smooth_pieces=(replace(right, batch_gradient=gradient),)
+                  + mt.ex.mrf.smooth_pieces[1:])
+    rows = np.arange(mt.grid.n_points)
+    U = mrf.u_batch(mt.grid.rows(rows))
+    keep = (U >= mt.delta) & (U <= mt.sigma)
+    rows, U = rows[keep][::order], U[keep][::order]
+    with pytest.raises(SingularDynamics, match="gradient of piece right non-finite") as exc:
+        sample_band(mt.ex.system, mrf, mt.grid, rows, U)
+    assert exc.value.x.tolist() == pytest.approx([0.5] if order == 1 else [1.2])
+
+
+def _max_gradient_norm(ex, grid, band):
+    """The largest np.linalg.norm(P, axis=1) over every band sample and active piece."""
+    rows = np.arange(grid.n_points)
+    X = grid.rows(rows)
+    U = ex.mrf.u_batch(X)
+    lo, hi = band
+    keep = (U >= lo) & (U <= hi) & (ex.target.d_many(X) > certificates.D_FLOOR)
+    X, U = X[keep], U[keep]
+    norms = [
+        np.linalg.norm(np.asarray(piece.batch_gradient(X[act]), dtype=float), axis=1)
+        for piece, act in zip(ex.mrf.smooth_pieces, ex.mrf.active_masks(X, U))
+    ]
+    return float(np.max(np.concatenate(norms)))
+
+
+@pytest.mark.parametrize("bundle", ["mt", "ring", "coarse_spiral", "ring_constant_gradient"])
+def test_gradient_bound_is_the_largest_row_norm_bit_for_bit(request, bundle):
+    # constants.L is reported in verify_report.json, so the squared-norm
+    # reduction that gives it must round like np.linalg.norm(P, axis=1).
+    # The bundled bands cannot tell the reductions apart; the constant
+    # gradient (1.1, 0.6) can: with numpy 2.4 on x86-64, np.linalg.norm
+    # (axis=1) and einsum give 1.252996408614167, np.sqrt(np.vecdot) one
+    # ulp less.
+    if bundle == "coarse_spiral":
+        ns = _spiral_bundle()
+        ns.grid = GridSpec(ns.grid.lower, ns.grid.upper, 0.05)
+    elif bundle == "ring_constant_gradient":
+        ring = request.getfixturevalue("ring")
+        pieces = tuple(
+            replace(pc, batch_gradient=lambda X: np.tile([1.1, 0.6], (len(X), 1)))
+            for pc in ring.ex.mrf.smooth_pieces
+        )
+        ex = SimpleNamespace(system=ring.ex.system, target=ring.ex.target,
+                             mrf=replace(ring.ex.mrf, smooth_pieces=pieces))
+        ns = SimpleNamespace(ex=ex, grid=ring.grid, delta=ring.delta, sigma=ring.sigma)
+    else:
+        ns = request.getfixturevalue(bundle)
+    if not hasattr(ns, "cert"):
+        ns.cert = verify_mrf_band(ns.ex.system, ns.ex.target, ns.ex.mrf, ns.delta, ns.sigma,
+                                  ns.grid)
+    want = _max_gradient_norm(ns.ex, ns.grid, (ns.delta, ns.sigma))
+    assert ns.cert.constants["L"] == 1.5 * want
+
+
 # ----------------------------------------------------------------------
 # supersolution spot check
 

@@ -209,7 +209,7 @@ def _one_step_leg(inv_g_of_s, s):
     step = LegStep(a_index=0, s0=0.0, length=float(s[-1]), s=s, states=states, u=u,
                    d=states[:, 0])
     return LegResult(
-        x0=states[0], u0=float(u[0]), mu_bar=1.0, mu_hat=0.5, epsilon=0.1,
+        x0=states[0], u0=float(u[0]), mu_bar=1.0, mu_hat=0.5, sigma=1.0, epsilon=0.1,
         status=TrajectoryStatus.REACHED_LEVEL, steps=[step], work={},
     )
 
@@ -315,6 +315,26 @@ def test_ring_synthesis_runs_at_zero_cost(ring, ring_synthesis):
     # the trajectory leaves through the outer circle, not the inner one
     rho_end = float(np.hypot(*res.trajectory.states[-1]))
     assert rho_end > 3.9
+
+
+def test_one_band_top_reaches_the_cutoff(ring, monkeypatch):
+    # the integrated field and the reparameterisation's residual both cut
+    # off at the band top synthesize is given, not at the modulus' top knot
+    assert ring.modulus.top_level != ring.sigma
+    tops = set()
+    cutoff = synthesis_mod._cutoff
+
+    def recording_cutoff(u, mu_hat, sigma):
+        tops.add(sigma)
+        return cutoff(u, mu_hat, sigma)
+
+    monkeypatch.setattr(synthesis_mod, "_cutoff", recording_cutoff)
+    cfg = SynthesisConfig(epsilon=0.01, d_tol=1e-3)
+    synthesize(
+        ring.ex.system, ring.ex.target, ring.ex.mrf, ring.modulus,
+        np.array([0.0, 3.5]), cfg, sigma=ring.sigma,
+    )
+    assert tops == {ring.sigma}
 
 
 def test_start_inside_collar_returns_trivial_trajectory(mt):

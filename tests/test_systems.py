@@ -171,6 +171,40 @@ def test_eval_guards():
         bad.control(5)
 
 
+def test_eval_block_names_the_first_non_finite_row():
+    # f is NaN at row 3 and l is inf at row 1: the error names row 1
+    def dyn(X, a):
+        F = np.zeros((len(X), 2))
+        F[3, 1] = np.nan
+        return F
+
+    def lag(X, a):
+        L = np.ones(len(X))
+        L[1] = np.inf
+        return L
+
+    sys_ = ControlSystem(
+        name="late_nan_early_inf",
+        state_dim=2,
+        dynamics=lambda x, a: np.zeros(2),
+        lagrangian=lambda x, a: 1.0,
+        control_set=(np.array([0.0]),),
+        batch_dynamics=dyn,
+        batch_lagrangian=lag,
+    )
+    X = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(SingularDynamics, match="control index 0") as exc:
+        eval_block(sys_, X, 0)
+    assert exc.value.x.tolist() == [2.0, 3.0]
+    # each array alone names its own first bad row
+    with pytest.raises(SingularDynamics) as exc:
+        eval_block(sys_, X, 0, lagrangian=False)
+    assert exc.value.x.tolist() == [6.0, 7.0]
+    with pytest.raises(SingularDynamics) as exc:
+        eval_block(sys_, X, 0, dynamics=False)
+    assert exc.value.x.tolist() == [2.0, 3.0]
+
+
 def test_target_distance_validation():
     t = TargetSet(name="neg", batch_distance=lambda X: -np.ones(len(X)))
     with pytest.raises(ConfigError):
