@@ -28,17 +28,15 @@ __all__ = [
     "SmoothPiece",
     "CandidateMrf",
     "DecreaseModulus",
-    "Violation",
+    "violation",
     "PositiveDefinitenessViolation",
     "BandSamples",
     "sample_band",
     "BandCertificate",
     "verify_mrf_band",
     "build_decrease_modulus",
-    "SupersolutionReport",
     "check_supersolution",
     "IntegrabilityError",
-    "PetrovReport",
     "check_weak_petrov",
 ]
 
@@ -219,10 +217,6 @@ class DecreaseModulus:
             return max(val, 0.0)
         return np.maximum(val, 0.0, out=val)
 
-    @property
-    def top_level(self) -> float:
-        return float(self.pl.xs[-1])
-
 
 def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> DecreaseModulus:
     """Turn sampled band margins into a strictly increasing modulus.
@@ -272,31 +266,14 @@ def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> Decreas
 # verification records
 
 
-def _pt(x) -> tuple:
-    return tuple(float(v) for v in np.atleast_1d(x))
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    x: tuple
-    value: float
-    p: Optional[tuple] = None
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _pt(self.x))
-        object.__setattr__(self, "value", float(self.value))
-        if self.p is not None:
-            object.__setattr__(self, "p", _pt(self.p))
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "x": list(self.x), "value": self.value}
-        if self.p is not None:
-            out["p"] = list(self.p)
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+def violation(kind: str, x, value, p=None, detail: str = "") -> dict:
+    """One failure record: ``x`` and ``p`` as lists of floats, ``p`` and ``detail`` when given."""
+    out = {"kind": kind, "x": np.atleast_1d(x).astype(float).tolist(), "value": float(value)}
+    if p is not None:
+        out["p"] = np.atleast_1d(p).astype(float).tolist()
+    if detail:
+        out["detail"] = detail
+    return out
 
 
 class PositiveDefinitenessViolation(ValueError):
@@ -307,8 +284,8 @@ class PositiveDefinitenessViolation(ValueError):
         self.total = total
         first = violations[0]
         super().__init__(
-            f"{total} positive-definiteness violations, worst at x={list(first.x)} "
-            f"({first.kind}: {first.value})"
+            f"{total} positive-definiteness violations, worst at x={first['x']} "
+            f"({first['kind']}: {first['value']})"
         )
 
 
@@ -370,7 +347,7 @@ class BandCertificate:
             "margin": self.margin,
             "worst_h": self.worst_h,
             "m_hat_samples": [[a, b] for a, b in self.m_hat_samples],
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": self.violations,
             "n_band": self.n_band,
             "n_grid": self.n_grid,
             "grid": self.grid,
@@ -569,7 +546,7 @@ def verify_mrf_band(
     if bad_idx.size:
         k = np.argsort(bad_u)[:MAX_RECORDS]
         records = [
-            Violation("positive_definiteness", x, u, detail=f"d={d}")
+            violation("positive_definiteness", x, u, detail=f"d={d}")
             for x, u, d in zip(grid.rows(bad_idx[k]), bad_u[k], bad_d[k])
         ]
         raise PositiveDefinitenessViolation(records, int(bad_idx.size))
@@ -579,7 +556,7 @@ def verify_mrf_band(
         posdef["collar_touch"] = touch
         posdef["n_collar"] = n_collar
         if touch > u_tol:
-            rec = Violation(
+            rec = violation(
                 "zero_level_gap",
                 grid.rows(np.array([touch_i]))[0],
                 touch,
@@ -594,7 +571,7 @@ def verify_mrf_band(
     esc_idx, esc_u = (np.concatenate(part) for part in zip(*proper_rows))
     k = np.argsort(esc_u)[:MAX_RECORDS]
     violations = [
-        Violation("properness", x, u, detail="sub-level set reaches the sampling box boundary")
+        violation("properness", x, u, detail="sub-level set reaches the sampling box boundary")
         for x, u in zip(grid.rows(esc_idx[k]), esc_u[k])
     ]
 
@@ -629,7 +606,7 @@ def verify_mrf_band(
         rows = idx[np.argsort(-H[idx])][:MAX_RECORDS]
         # only the recorded rows: the record carries the winning piece's gradient
         X, P = _winning_gradients(mrf, samples, rows)
-        violations += [Violation("hamiltonian", x, h, p=p) for x, h, p in zip(X, H[rows], P)]
+        violations += [violation("hamiltonian", x, h, p=p) for x, h, p in zip(X, H[rows], P)]
         if len(idx) > MAX_RECORDS:
             notes.append(f"{int(hot.sum())} hamiltonian violations, first {MAX_RECORDS} recorded")
 
@@ -691,31 +668,11 @@ def verify_mrf_band(
 # supersolution check
 
 
-@dataclass
-class SupersolutionReport:
-    passed: bool
-    n_points: int
-    n_checked: int
-    n_skipped: int
-    worst_margin: float
-    failures: list
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_points": self.n_points,
-            "n_checked": self.n_checked,
-            "n_skipped": self.n_skipped,
-            "worst_margin": self.worst_margin,
-            "failures": [v.to_dict() for v in self.failures],
-        }
-
-
 def check_supersolution(
     mrf: CandidateMrf,
     modulus: DecreaseModulus,
     samples: BandSamples,
-) -> SupersolutionReport:
+) -> dict:
     """Check H(x, p0_bar, grad U(x)) <= -m(U(x)) at differentiability points.
 
     Works from the band as ``sample_band`` evaluated it: where exactly
@@ -725,7 +682,9 @@ def check_supersolution(
     job.  The samples' columns are read in place, not copied.  Failures
     are recorded piece by piece, then in sample order, and gradients are
     evaluated only at the recorded ones.  A check that reaches no sample
-    fails: it certifies nothing.
+    fails: it certifies nothing.  Returns the report: ``passed``,
+    ``n_points``, ``n_checked``, ``n_skipped``, ``worst_margin`` (NaN
+    when nothing was checked) and the ``failures`` records.
     """
     single = samples.n_active == 1
     n_checked = int(np.count_nonzero(single))
@@ -734,17 +693,17 @@ def check_supersolution(
     bad = np.flatnonzero((margins > 0.0) & single)
     k = bad[np.argsort(samples.piece[bad], kind="stable")][:MAX_RECORDS]
     X, P = _winning_gradients(mrf, samples, k)
-    failures = [Violation("supersolution", x, m, p=p) for x, m, p in zip(X, margins[k], P)]
+    failures = [violation("supersolution", x, m, p=p) for x, m, p in zip(X, margins[k], P)]
     worst = np.max(margins, where=single, initial=-np.inf)
 
-    return SupersolutionReport(
-        passed=not failures and n_checked > 0,
-        n_points=len(samples),
-        n_checked=n_checked,
-        n_skipped=len(samples) - n_checked,
-        worst_margin=float(worst) if n_checked else float("nan"),
-        failures=failures,
-    )
+    return {
+        "passed": not failures and n_checked > 0,
+        "n_points": len(samples),
+        "n_checked": n_checked,
+        "n_skipped": len(samples) - n_checked,
+        "worst_margin": float(worst) if n_checked else float("nan"),
+        "failures": failures,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -830,32 +789,6 @@ def _integrate_reciprocal(mu: Callable, a: float, b: float) -> float:
     return total
 
 
-@dataclass
-class PetrovReport:
-    ok: bool
-    n_checked: int
-    worst_eq_slack: float
-    worst_h_margin: float
-    phi: MonotonePL
-    tail: float
-    increments: list
-    ratios: list
-    failures: list
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n_checked": self.n_checked,
-            "worst_eq_slack": self.worst_eq_slack,
-            "worst_h_margin": self.worst_h_margin,
-            "phi_knots": [self.phi.xs.tolist(), self.phi.ys.tolist()],
-            "tail": self.tail,
-            "increments": self.increments,
-            "ratios": self.ratios,
-            "failures": [v.to_dict() for v in self.failures],
-        }
-
-
 def check_weak_petrov(
     system: ControlSystem,
     target: TargetSet,
@@ -864,7 +797,7 @@ def check_weak_petrov(
     points: np.ndarray,
     *,
     p0_bar: float = 0.5,
-) -> PetrovReport:
+) -> dict:
     """Check the directional decrease of d and build the induced gauge.
 
     For minimum-time problems (l identically 1) with a rate mu whose
@@ -875,7 +808,10 @@ def check_weak_petrov(
     phi(r) is the integral of 1/mu built by quadrature over
     PETROV_DECADES decades.  mu maps an array of radii to an array of
     rates.  A pair fails when either margin exceeds PETROV_TOL.  A check
-    that reaches no sample point fails.
+    that reaches no sample point fails.  Returns the report: ``ok``,
+    ``n_checked``, ``worst_eq_slack`` and ``worst_h_margin`` (NaN when
+    nothing was checked), the gauge as ``phi_knots`` [xs, ys], ``tail``,
+    ``increments``, ``ratios`` and the ``failures`` records.
 
     Raises IntegrabilityError when the decade integrals of 1/mu fail to
     decay geometrically (the gauge would diverge), or when the
@@ -953,7 +889,7 @@ def check_weak_petrov(
             rates.append(mu_r)
     n_checked = len(sel)
     worst_slack = worst_h = float("nan")
-    failures: list[Violation] = []
+    failures: list[dict] = []
     if rows:
         Xq = X[rows]
         Q = np.asarray(grads, dtype=float).reshape(Xq.shape)
@@ -966,20 +902,20 @@ def check_weak_petrov(
         worst_h = float(np.max(h_marg))
         for j in np.flatnonzero((slack > PETROV_TOL) | (h_marg > PETROV_TOL)):
             if slack[j] > PETROV_TOL and len(failures) < MAX_RECORDS:
-                failures.append(Violation("petrov_decrease", Xq[j], slack[j], p=Q[j]))
+                failures.append(violation("petrov_decrease", Xq[j], slack[j], p=Q[j]))
             if h_marg[j] > PETROV_TOL and len(failures) < MAX_RECORDS:
-                failures.append(Violation("petrov_hamiltonian", Xq[j], h_marg[j], p=Qmu[j]))
+                failures.append(violation("petrov_hamiltonian", Xq[j], h_marg[j], p=Qmu[j]))
             if len(failures) >= MAX_RECORDS:
                 break
 
-    return PetrovReport(
-        ok=not failures and n_checked > 0,
-        n_checked=n_checked,
-        worst_eq_slack=worst_slack if np.isfinite(worst_slack) else float("nan"),
-        worst_h_margin=worst_h if np.isfinite(worst_h) else float("nan"),
-        phi=phi,
-        tail=tail,
-        increments=increments,
-        ratios=ratios,
-        failures=failures,
-    )
+    return {
+        "ok": not failures and n_checked > 0,
+        "n_checked": n_checked,
+        "worst_eq_slack": worst_slack if np.isfinite(worst_slack) else float("nan"),
+        "worst_h_margin": worst_h if np.isfinite(worst_h) else float("nan"),
+        "phi_knots": [phi.xs.tolist(), phi.ys.tolist()],
+        "tail": tail,
+        "increments": increments,
+        "ratios": ratios,
+        "failures": failures,
+    }

@@ -190,7 +190,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             "reason": "positive_definiteness",
             "message": str(exc),
             "n_violations": exc.total,
-            "examples": [v.to_dict() for v in exc.violations],
+            "examples": exc.violations,
         }
         log.error("candidate rejected: %s", exc)
 
@@ -207,9 +207,9 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             supers = check_supersolution(example.mrf, modulus, cert.samples)
             log.info(
                 "supersolution check: %s (worst margin %.3g over %d points)",
-                "ok" if supers.passed else "FAILED",
-                supers.worst_margin,
-                supers.n_checked,
+                "ok" if supers["passed"] else "FAILED",
+                supers["worst_margin"],
+                supers["n_checked"],
             )
 
     petrov = None
@@ -224,7 +224,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
                 grid.points(),
                 p0_bar=cfg.petrov.p0_bar,
             )
-            petrov = {"ok": prep.ok, "profile": cfg.petrov.profile, **prep.to_dict()}
+            petrov = {"profile": cfg.petrov.profile, **prep}
         except IntegrabilityError as exc:
             petrov = {
                 "ok": False,
@@ -237,7 +237,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
     passed = bool(
         cert is not None
         and cert.certified
-        and (supers is None or supers.passed)
+        and (supers is None or supers["passed"])
         and (petrov is None or petrov.get("ok", False))
     )
     report = _provenance(cfg, seed)
@@ -263,7 +263,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
                 else None
             ),
             "modulus_error": modulus_error,
-            "supersolution": supers.to_dict() if supers is not None else None,
+            "supersolution": supers,
             "weak_decrease": petrov,
         }
     )
@@ -332,9 +332,8 @@ def _synthesize_one(example, modulus, syn_cfg, sigma, kl, idx, x0):
     ok = (all(all(leg["checks"].values()) for leg in rep["legs"])
           and rep["cost_within_bound"] is not False)
     if kl is not None:  # None when the decay certificate could not be built
-        klrep = verify_kl(traj, kl)
-        entry["decay_audit"] = klrep.to_dict()
-        ok = ok and klrep.passed
+        entry["decay_audit"] = verify_kl(traj, kl)
+        ok = ok and entry["decay_audit"]["passed"]
     entry["ok"] = bool(ok)
     return entry, traj
 

@@ -55,7 +55,6 @@ __all__ = [
     "build_sigma_envelopes",
     "KLBound",
     "build_kl_bound",
-    "KLReport",
     "verify_kl",
 ]
 
@@ -144,9 +143,13 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class FeedbackChoice:
+    """The chosen pair, with f and g = p0*l + m(U) of its control at the anchor."""
+
     a_index: int
     p: np.ndarray
     quotient: float
+    f: np.ndarray
+    g: float
 
 
 def feedback_select(
@@ -155,30 +158,35 @@ def feedback_select(
     """Pick the (gradient, control) pair with the best decrease quotient.
 
     The quotient is <p, f(x,a)> / (p0*l(x,a) + m(U(x))); the certificate
-    makes it <= -1 for some pair.  Scans every pair, minimizes, breaks
-    ties toward the lowest control index, and raises FeedbackGap when
-    even the best pair misses the threshold.
+    makes it <= -1 for some pair.  Evaluates f and g once per control,
+    then scans every pair gradient by gradient, minimizes, breaks ties
+    toward the earlier pair, and raises FeedbackGap when even the best
+    pair misses the threshold.
     """
     x = np.asarray(x, dtype=float)
     m_u = float(modulus(mrf.u(x)))
+    grads = mrf.limiting_gradients(x)  # its ConfigError comes before any model error
+    fs, gs = [], []
+    for k in range(system.n_controls):
+        fs.append(eval_dynamics(system, x, k))
+        g = mrf.p0_bar * eval_lagrangian(system, x, k) + m_u
+        if g <= 0:
+            raise ModulusError(x, g)
+        gs.append(g)
     best_q = np.inf
     best_k = 0
     best_p: Optional[np.ndarray] = None
-    for p in mrf.limiting_gradients(x):
+    for p in grads:
         for k in range(system.n_controls):
-            f = eval_dynamics(system, x, k)
-            l = eval_lagrangian(system, x, k)
-            g = mrf.p0_bar * l + m_u
-            if g <= 0:
-                raise ModulusError(x, g)
-            q = float(np.dot(p, f)) / g
+            q = float(np.dot(p, fs[k])) / gs[k]
             if q < best_q:
                 best_q = q
                 best_k = k
                 best_p = p
     if best_p is None or best_q > -1.0:
         raise FeedbackGap(x, best_q, best_k)
-    return FeedbackChoice(a_index=best_k, p=np.asarray(best_p, dtype=float), quotient=best_q)
+    return FeedbackChoice(a_index=best_k, p=np.asarray(best_p, dtype=float), quotient=best_q,
+                          f=fs[best_k], g=gs[best_k])
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +321,7 @@ def integrate_leg(
     mu_hat: float,
     config: SynthesisConfig,
     *,
-    sigma: Optional[float] = None,
+    sigma: float,
 ) -> LegResult:
     """Drive U from its value at x0 down to mu_hat with sampled feedback.
 
@@ -328,15 +336,14 @@ def integrate_leg(
     step's substep count stays even.  Steps whose interior already dips
     to the endpoint value are cut at the first such substep so that node
     values strictly decrease.  Stops early with status approached_target
-    once d(x) < d_tol.  The leg's ``work`` counts RK4 paths and substeps
+    once d(x) < d_tol.  sigma is the band top at which the field cuts
+    off.  The leg's ``work`` counts RK4 paths and substeps
     (a path that raises counts in full), rejected trial
     lengths, crossing evaluations and accepted steps.
     """
     x0 = np.asarray(x0, dtype=float)
     if not 0 < mu_hat < mu_bar:
         raise ConfigError(f"need 0 < mu_hat < mu_bar, got {mu_hat}, {mu_bar}")
-    if sigma is None:
-        sigma = modulus.top_level
     eps1 = config.epsilon + 1.0
     level_tol = max(config.level_tol_rel * mu_hat, 1e-15)
     delta_min = config.delta_min_rel * config.delta_init
@@ -376,10 +383,7 @@ def integrate_leg(
         # so the cutoff stays at 1 along any accepted step
         L_loc = max(float(np.linalg.norm(choice.p)), 1e-12)
         R = mu_hat / (2.0 * L_loc)
-        f_a = eval_dynamics(system, state, choice.a_index)
-        l_a = eval_lagrangian(system, state, choice.a_index)
-        g_a = mrf.p0_bar * l_a + float(modulus(u_anchor))
-        speed = config.mf_safety * max(float(np.linalg.norm(f_a)), 1e-12) / g_a
+        speed = config.mf_safety * max(float(np.linalg.norm(choice.f)), 1e-12) / choice.g
         trial = min(config.delta_init, mu_hat / 2.0, R / speed)
 
         # one accepted step; halve the trial length on any failed audit
@@ -683,18 +687,18 @@ def synthesize(
     x0: np.ndarray,
     config: SynthesisConfig,
     *,
-    sigma: Optional[float] = None,
+    sigma: float,
 ) -> SynthesisResult:
     """Concatenate legs along the geometric level cascade mu_k = nu^k U(x0).
 
     Runs until the target collar is reached (approached_target), the
     level budget is exhausted (truncated), or a leg fails (exceptions
-    propagate).  The result carries the full substep trail as a
-    Trajectory in both clocks plus per-leg audit data.
+    propagate).  sigma is the certified band top: a start with
+    U(x0) >= sigma is refused, and every leg's field cuts off there.
+    The result carries the full substep trail as a Trajectory in both
+    clocks plus per-leg audit data.
     """
     x0 = np.asarray(x0, dtype=float)
-    if sigma is None:
-        sigma = modulus.top_level
     u0 = mrf.u(x0)
     d0 = target.d(x0)
     cost_bound = (config.epsilon + 1.0) * u0 / mrf.p0_bar if mrf.p0_bar > 0 else None
@@ -995,36 +999,22 @@ def build_kl_bound(
     )
 
 
-@dataclass
-class KLReport:
-    passed: bool
-    worst_slack: float
-    worst_time: float
-    n_nodes: int
-    tol: float
+def verify_kl(trajectory: Trajectory, kl: KLBound) -> dict:
+    """Check d(z(t)) <= beta(d(z(0)), t) + KL_TOL along a synthesized trajectory.
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_slack": self.worst_slack,
-            "worst_time": self.worst_time,
-            "n_nodes": self.n_nodes,
-            "tol": self.tol,
-        }
-
-
-def verify_kl(trajectory: Trajectory, kl: KLBound) -> KLReport:
-    """Check d(z(t)) <= beta(d(z(0)), t) + KL_TOL along a synthesized trajectory."""
+    Returns the report: ``passed``, ``worst_slack`` (the largest
+    d - beta, -inf without nodes), ``worst_time``, ``n_nodes`` and ``tol``.
+    """
     if trajectory.n_nodes == 0:
-        return KLReport(passed=True, worst_slack=float("-inf"), worst_time=0.0, n_nodes=0,
-                        tol=KL_TOL)
+        return {"passed": True, "worst_slack": float("-inf"), "worst_time": 0.0, "n_nodes": 0,
+                "tol": KL_TOL}
     bounds = kl.beta(float(trajectory.d[0]), trajectory.t)
     slack = trajectory.d - bounds
     i = int(np.argmax(slack))
-    return KLReport(
-        passed=bool(slack[i] <= KL_TOL),
-        worst_slack=float(slack[i]),
-        worst_time=float(trajectory.t[i]),
-        n_nodes=trajectory.n_nodes,
-        tol=KL_TOL,
-    )
+    return {
+        "passed": bool(slack[i] <= KL_TOL),
+        "worst_slack": float(slack[i]),
+        "worst_time": float(trajectory.t[i]),
+        "n_nodes": trajectory.n_nodes,
+        "tol": KL_TOL,
+    }

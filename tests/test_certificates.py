@@ -21,7 +21,9 @@ from exitcert.certificates import (
     sample_band,
     verify_mrf_band,
 )
+from exitcert.config import as_plain
 from exitcert.library import _MU_PROFILES, minimum_time_1d, petrov_demo, power_law, spiral
+from exitcert.pwl import MonotonePL
 from exitcert.systems import ConfigError, NegativeLagrangian, SingularDynamics
 
 
@@ -80,7 +82,7 @@ def test_modulus_single_sample():
     assert m(1.0) == pytest.approx(0.45)
     assert m(0.0) == 0.0
     assert m(0.5) == pytest.approx(0.225)
-    assert m.top_level == 1.0
+    assert m.pl.xs[-1] == 1.0
 
 
 def test_modulus_two_samples_lag_and_weights():
@@ -114,6 +116,32 @@ def test_modulus_rejects_bad_samples():
         build_decrease_modulus([(1.0, 0.5), (2.0, 0.1)])  # decreasing margins
     with pytest.raises(ValueError):
         build_decrease_modulus([(1.0, 0.5)], eta=1.5)
+
+
+# ----------------------------------------------------------------------
+# records and reports
+
+
+def _assert_record(rec, keys):
+    """rec has exactly these keys, and x and p are lists of Python floats."""
+    assert type(rec) is dict
+    assert set(rec) == keys
+    assert type(rec["kind"]) is str
+    assert type(rec["value"]) is float
+    for key in {"x", "p"} & keys:
+        assert type(rec[key]) is list
+        assert all(type(v) is float for v in rec[key])
+
+
+def _assert_plain_report(rep):
+    """rep is a dict that as_plain leaves as it is, apart from non-finite floats becoming None."""
+    assert type(rep) is dict
+    plain = as_plain(rep)
+    odd = {k for k, v in rep.items() if isinstance(v, float) and not np.isfinite(v)}
+    assert all(plain[k] is None for k in odd)
+    assert repr({k: v for k, v in plain.items() if k not in odd}) == repr(
+        {k: v for k, v in rep.items() if k not in odd}
+    )
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +182,13 @@ def test_power_law_rejection_is_fast_and_typed():
         verify_mrf_band(ex.system, ex.target, ex.mrf, 0.05, 1.0, grid)
     assert exc.value.total > 0
     assert exc.value.violations
-    assert exc.value.violations[0].kind == "positive_definiteness"
+    assert exc.value.violations[0]["kind"] == "positive_definiteness"
+    for rec in exc.value.violations:
+        _assert_record(rec, {"kind", "x", "value", "detail"})
+    first = exc.value.violations[0]
+    assert str(exc.value).endswith(
+        f"worst at x={first['x']} ({first['kind']}: {first['value']})"
+    )
 
 
 def _power_law_rejection():
@@ -163,7 +197,7 @@ def _power_law_rejection():
     grid = GridSpec(np.array([-2.0]), np.array([2.0]), 0.01)
     with pytest.raises(PositiveDefinitenessViolation) as exc:
         verify_mrf_band(ex.system, ex.target, ex.mrf, 0.05, 1.0, grid)
-    return [v.to_dict() for v in exc.value.violations], exc.value.total
+    return exc.value.violations, exc.value.total
 
 
 def _band_arrays(samples):
@@ -267,7 +301,7 @@ def test_verify_memory_follows_the_band_not_the_grid(request, bundle):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.n_checked > 0
+    assert rep["n_checked"] > 0
     kept = sum(a.nbytes for a in _band_arrays(cert.samples))
     assert peak < kept + 16 * 8 * certificates.BLOCK_ROWS
 
@@ -319,7 +353,11 @@ def test_uncertified_band_when_margin_too_demanding(mt):
         mt.ex.system, mt.ex.target, mt.ex.mrf, 0.05, 1.5, mt.grid, margin=0.5
     )
     assert not cert.certified
-    assert any(v.kind == "hamiltonian" for v in cert.violations)
+    assert any(v["kind"] == "hamiltonian" for v in cert.violations)
+    # the band of test_cli's `margin: 0.5` config: the records carry p, no detail
+    for rec in cert.violations:
+        _assert_record(rec, {"kind", "x", "value", "p"})
+    assert cert.to_dict()["violations"] == cert.violations
 
 
 def _half_line_piece(name, sign, slope):
@@ -349,12 +387,12 @@ def test_hamiltonian_record_carries_the_violating_piece_gradient(mt, shallow_fir
     kinked = _kinked(mt, shallow_first)
     cert = verify_mrf_band(mt.ex.system, mt.ex.target, kinked, 0.05, 1.5, mt.grid)
     assert not cert.certified
-    records = [v for v in cert.violations if v.kind == "hamiltonian"]
+    records = [v for v in cert.violations if v["kind"] == "hamiltonian"]
     assert len(records) == 32
     for v in records:
-        assert v.x[0] > 0
-        assert v.p == (0.5,)
-        assert v.value == pytest.approx(0.4)
+        assert v["x"][0] > 0
+        assert v["p"] == [0.5]
+        assert v["value"] == pytest.approx(0.4)
 
 
 @pytest.mark.parametrize("block_rows", [certificates.BLOCK_ROWS, 97])
@@ -377,7 +415,7 @@ def test_each_band_sample_and_active_piece_is_evaluated_once(mt, monkeypatch, bl
     monkeypatch.setattr(CandidateMrf, "active_masks", counting_masks)
     cert = verify_mrf_band(mt.ex.system, mt.ex.target, kinked, 0.05, 1.5, mt.grid)
     samples = cert.samples
-    assert len([v for v in cert.violations if v.kind == "hamiltonian"]) == 32
+    assert len([v for v in cert.violations if v["kind"] == "hamiltonian"]) == 32
     assert sum(h_rows) == int(np.sum(samples.n_active)) > len(samples)
     # one call per grid block, on that block's band rows
     assert len(mask_calls) == -(-mt.grid.n_points // block_rows)
@@ -489,21 +527,29 @@ def _band(ex, grid, band):
 
 def test_supersolution_holds_with_certified_modulus(mt):
     rep = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, mt.grid, (mt.delta, mt.sigma)))
-    assert rep.passed
-    assert rep.n_checked > 0
-    assert rep.worst_margin < 0
+    assert rep["passed"]
+    assert rep["n_checked"] > 0
+    assert rep["worst_margin"] < 0
+    assert set(rep) == {"passed", "n_points", "n_checked", "n_skipped", "worst_margin",
+                        "failures"}
+    _assert_plain_report(rep)
     # U <= 2 on the grid, so this band holds no point: nothing is certified
     empty = check_supersolution(mt.ex.mrf, mt.modulus, _band(mt.ex, mt.grid, (2.5, 3.0)))
-    assert empty.n_checked == 0
-    assert not empty.passed
+    assert empty["n_checked"] == 0
+    assert not empty["passed"]
+    assert np.isnan(empty["worst_margin"])
+    _assert_plain_report(empty)
 
 
 def test_supersolution_fails_with_inflated_modulus(mt):
     inflated = build_decrease_modulus([(lev, 50.0) for lev, _ in mt.cert.m_hat_samples])
     rep = check_supersolution(mt.ex.mrf, inflated, _band(mt.ex, mt.grid, (mt.delta, mt.sigma)))
-    assert not rep.passed
-    assert rep.failures
-    assert rep.failures[0].kind == "supersolution"
+    assert not rep["passed"]
+    assert rep["failures"]
+    assert rep["failures"][0]["kind"] == "supersolution"
+    for rec in rep["failures"]:
+        _assert_record(rec, {"kind", "x", "value", "p"})
+    _assert_plain_report(rep)
 
 
 def test_supersolution_skips_samples_with_several_active_pieces(mt):
@@ -512,11 +558,11 @@ def test_supersolution_skips_samples_with_several_active_pieces(mt):
     kinked = _kinked(mt)
     samples = _band(replace(mt.ex, mrf=kinked), mt.grid, (mt.delta, mt.sigma))
     rep = check_supersolution(kinked, mt.modulus, samples)
-    assert rep.passed
-    assert rep.n_checked == 146  # the band samples at x < 0
-    assert rep.n_skipped == 145
-    assert rep.worst_margin == pytest.approx(-0.01)
-    assert not rep.failures
+    assert rep["passed"]
+    assert rep["n_checked"] == 146  # the band samples at x < 0
+    assert rep["n_skipped"] == 145
+    assert rep["worst_margin"] == pytest.approx(-0.01)
+    assert not rep["failures"]
 
 
 def test_supersolution_caps_failures_in_total():
@@ -525,9 +571,9 @@ def test_supersolution_caps_failures_in_total():
     inflated = build_decrease_modulus([(0.5, 50.0), (1.0, 50.0), (1.4, 50.0)])
     grid = GridSpec(np.array([-4.2, -4.2]), np.array([4.2, 4.2]), 0.1)
     rep = check_supersolution(ex.mrf, inflated, _band(ex, grid, (0.05, 1.3)))
-    assert not rep.passed
-    assert rep.n_checked > 3 * 32
-    assert len(rep.failures) == 32
+    assert not rep["passed"]
+    assert rep["n_checked"] > 3 * 32
+    assert len(rep["failures"]) == 32
 
 
 # ----------------------------------------------------------------------
@@ -543,18 +589,25 @@ def test_petrov_sqrt_profile_builds_the_root_gauge():
     rep = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points()
     )
-    assert rep.ok
-    assert rep.n_checked > 0
-    assert rep.worst_eq_slack <= 1e-9
+    assert rep["ok"]
+    assert rep["n_checked"] > 0
+    assert rep["worst_eq_slack"] <= 1e-9
     # the gauge integrates 1/sqrt to 2*sqrt
+    phi = MonotonePL(*rep["phi_knots"])
     for r in (0.01, 0.1, 0.5, 1.0):
-        assert rep.phi(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-3)
+        assert phi(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-3)
     # no sample strictly between the target and delta: nothing is checked
     empty = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, np.array([[0.0], [1.2]])
     )
-    assert empty.n_checked == 0
-    assert not empty.ok
+    assert empty["n_checked"] == 0
+    assert not empty["ok"]
+    assert np.isnan(empty["worst_eq_slack"]) and np.isnan(empty["worst_h_margin"])
+    keys = {"ok", "n_checked", "worst_eq_slack", "worst_h_margin", "phi_knots", "tail",
+            "increments", "ratios", "failures"}
+    for r in (rep, empty):
+        assert set(r) == keys
+        _assert_plain_report(r)
 
 
 def test_petrov_constant_profile_gauge_is_identity():
@@ -562,9 +615,10 @@ def test_petrov_constant_profile_gauge_is_identity():
     rep = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["constant"], 1.0, _petrov_points()
     )
-    assert rep.ok
+    assert rep["ok"]
+    phi = MonotonePL(*rep["phi_knots"])
     for r in (0.1, 0.5, 1.0):
-        assert rep.phi(r) == pytest.approx(r, rel=1e-9)
+        assert phi(r) == pytest.approx(r, rel=1e-9)
 
 
 @pytest.mark.parametrize("delta", [1.0, 1.5])
@@ -575,15 +629,15 @@ def test_petrov_gauge_quadrature_matches_closed_form(delta):
     rep = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["sqrt"], delta, _petrov_points()
     )
-    assert rep.ok
+    assert rep["ok"]
 
     def gauge(r):
         return 2.0 * np.sqrt(min(r, 1.0)) + max(r - 1.0, 0.0)
 
-    for k, inc in enumerate(rep.increments):
+    for k, inc in enumerate(rep["increments"]):
         a, b = delta * 10.0 ** (-(k + 1)), delta * 10.0 ** (-k)
         assert inc == pytest.approx(gauge(b) - gauge(a), rel=1e-10, abs=0.0), k
-    for x, y in zip(rep.phi.xs, rep.phi.ys):
+    for x, y in zip(*rep["phi_knots"]):
         assert y == pytest.approx(gauge(x), rel=1e-10, abs=0.0), x
 
 
@@ -648,22 +702,25 @@ def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
     )
     pts = _petrov_points()
     rep = check_weak_petrov(slow, ex.target, _MU_PROFILES["sqrt"], 1.0, pts)
-    assert not rep.ok
-    assert len(rep.failures) == max_records
+    assert not rep["ok"]
+    assert len(rep["failures"]) == max_records
     kinds = ["petrov_decrease", "petrov_hamiltonian"] * max_records
-    assert [v.kind for v in rep.failures] == kinds[:max_records]
+    assert [v["kind"] for v in rep["failures"]] == kinds[:max_records]
+    for rec in rep["failures"]:
+        _assert_record(rec, {"kind", "x", "value", "p"})
+    _assert_plain_report(rep)
     d = np.abs(pts[:, 0])
     failing = pts[(d > 0.0625 + 1e-9) & (d < 1.0)]
-    for k, v in enumerate(rep.failures):
+    for k, v in enumerate(rep["failures"]):
         x = failing[k // 2]
-        assert v.x == (x[0],)
+        assert v["x"] == [x[0]]
         rate = np.sqrt(abs(x[0]))
-        if v.kind == "petrov_decrease":
-            assert v.p == (np.sign(x[0]),)
-            assert v.value == pytest.approx(rate - 0.25)
+        if v["kind"] == "petrov_decrease":
+            assert v["p"] == [np.sign(x[0])]
+            assert v["value"] == pytest.approx(rate - 0.25)
         else:
-            assert v.p == pytest.approx((np.sign(x[0]) / rate,))
-            assert v.value == pytest.approx(1.0 - 0.25 / rate)
+            assert v["p"] == pytest.approx([np.sign(x[0]) / rate])
+            assert v["value"] == pytest.approx(1.0 - 0.25 / rate)
 
 
 def test_petrov_induced_candidate_certifies():
@@ -672,6 +729,6 @@ def test_petrov_induced_candidate_certifies():
         ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points()
     )
     # the induced candidate has H margin -(1 - p0_bar) by construction
-    assert rep.worst_h_margin <= 1e-9
+    assert rep["worst_h_margin"] <= 1e-9
     # 0.25 falls between gauge knots, so allow the interpolation sag
-    assert rep.phi(0.25) == pytest.approx(2.0 * np.sqrt(0.25), rel=1e-2)
+    assert MonotonePL(*rep["phi_knots"])(0.25) == pytest.approx(2.0 * np.sqrt(0.25), rel=1e-2)

@@ -144,9 +144,9 @@ def test_kl_axioms_on_lattice(klb):
 def test_distance_dominated_by_beta(synth_with_kl):
     res, klb = synth_with_kl
     rep = verify_kl(res.trajectory, klb.kl)
-    assert rep.passed
-    assert rep.worst_slack <= rep.tol
-    assert rep.n_nodes == res.trajectory.n_nodes
+    assert rep["passed"]
+    assert rep["worst_slack"] <= rep["tol"]
+    assert rep["n_nodes"] == res.trajectory.n_nodes
 
 
 # ------------------------------------------------------ Hamiltonian algebra

@@ -10,7 +10,7 @@ import pytest
 import exitcert.certificates as certificates
 import exitcert.synthesis as synthesis_mod
 from exitcert.certificates import D_FLOOR, DecreaseModulus, build_decrease_modulus
-from exitcert.config import load_config
+from exitcert.config import as_plain, load_config
 from exitcert.library import get_example, power_law
 from exitcert.pwl import MonotonePL
 from exitcert.synthesis import (
@@ -73,6 +73,32 @@ def test_feedback_select_descends(mt):
     np.testing.assert_allclose(choice.p, [1.0])
 
 
+def test_feedback_select_evaluates_each_control_once(monkeypatch):
+    # on the spiral's ridge |z| = 2 the inner and middle pieces are both
+    # active: two gradients, two controls, four pairs, two dynamics calls
+    ex = get_example("spiral", epsilon=0.5)
+    modulus = build_decrease_modulus([(2.0, 0.5)])
+    x = np.array([2.0, 0.0])
+    assert len(ex.mrf.limiting_gradients(x)) == 2
+    calls = []
+    eval_dynamics = synthesis_mod.eval_dynamics
+
+    def counted(system, z, k):
+        calls.append(k)
+        return eval_dynamics(system, z, k)
+
+    monkeypatch.setattr(synthesis_mod, "eval_dynamics", counted)
+    choice = feedback_select(ex.system, ex.mrf, modulus, x)
+    assert calls == [0, 1]
+    # the middle piece's gradient -1.5 z/|z| against the outward control
+    assert choice.a_index == 0
+    np.testing.assert_array_equal(choice.p, [-1.5, 0.0])
+    assert np.array_equal(choice.f, eval_dynamics(ex.system, x, choice.a_index))
+    l = synthesis_mod.eval_lagrangian(ex.system, x, choice.a_index)
+    assert choice.g == ex.mrf.p0_bar * l + float(modulus(ex.mrf.u(x)))
+    assert choice.quotient == float(np.dot(choice.p, choice.f)) / choice.g
+
+
 def test_feedback_gap_with_oversized_modulus(mt):
     fat = build_decrease_modulus([(lev, 80.0) for lev, _ in mt.cert.m_hat_samples])
     with pytest.raises(FeedbackGap) as exc:
@@ -96,12 +122,12 @@ def test_leg_rejects_bad_levels(mt):
     with pytest.raises(ConfigError):
         integrate_leg(
             mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
-            np.array([1.0]), mu_bar=0.5, mu_hat=0.9, config=cfg,
+            np.array([1.0]), mu_bar=0.5, mu_hat=0.9, config=cfg, sigma=mt.sigma,
         )
     with pytest.raises(ConfigError):
         integrate_leg(
             mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
-            np.array([1.0]), mu_bar=0.5, mu_hat=0.25, config=cfg,
+            np.array([1.0]), mu_bar=0.5, mu_hat=0.25, config=cfg, sigma=mt.sigma,
         )
 
 
@@ -110,7 +136,7 @@ def test_step_collapse_when_speed_estimate_explodes(mt):
     with pytest.raises(StepCollapse) as exc:
         integrate_leg(
             mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
-            np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg,
+            np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg, sigma=mt.sigma,
         )
     assert exc.value.delta < 1e-9
 
@@ -120,7 +146,7 @@ def test_step_budget_is_enforced(mt):
     with pytest.raises(StepCollapse, match="exceeded 2 steps"):
         integrate_leg(
             mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
-            np.array([1.0]), mu_bar=1.0, mu_hat=0.05, config=cfg,
+            np.array([1.0]), mu_bar=1.0, mu_hat=0.05, config=cfg, sigma=mt.sigma,
         )
 
 
@@ -128,7 +154,7 @@ def test_single_leg_reaches_its_level(mt):
     cfg = SynthesisConfig()
     leg = integrate_leg(
         mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
-        np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg,
+        np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg, sigma=mt.sigma,
     )
     assert leg.status == TrajectoryStatus.REACHED_LEVEL
     assert leg.u_end == pytest.approx(0.5, abs=1e-6)
@@ -164,7 +190,7 @@ def test_crossing_step_is_integrated_once(mt, monkeypatch):
     cfg = SynthesisConfig()
     leg = integrate_leg(
         mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
-        np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg,
+        np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg, sigma=mt.sigma,
     )
     assert leg.status == TrajectoryStatus.REACHED_LEVEL
     assert len(bisections) == 1, "the leg should end on one level crossing"
@@ -320,7 +346,7 @@ def test_ring_synthesis_runs_at_zero_cost(ring, ring_synthesis):
 def test_one_band_top_reaches_the_cutoff(ring, monkeypatch):
     # the integrated field and the reparameterisation's residual both cut
     # off at the band top synthesize is given, not at the modulus' top knot
-    assert ring.modulus.top_level != ring.sigma
+    assert ring.modulus.pl.xs[-1] != ring.sigma
     tops = set()
     cutoff = synthesis_mod._cutoff
 
@@ -364,7 +390,8 @@ def test_start_with_nonpositive_value_is_rejected(mt):
     ex = power_law(r=0.0, s=-1.0)
     cfg = SynthesisConfig()
     with pytest.raises(ConfigError, match="positive definite"):
-        synthesize(ex.system, ex.target, ex.mrf, mt.modulus, np.array([0.5]), cfg)
+        synthesize(ex.system, ex.target, ex.mrf, mt.modulus, np.array([0.5]), cfg,
+                   sigma=mt.sigma)
 
 
 def test_truncation_when_levels_run_out(mt):
@@ -547,6 +574,20 @@ def test_kl_bound_serializes(mt_kl):
 
 def test_decay_bound_holds_along_synthesis(mt_synthesis, mt_kl):
     rep = verify_kl(mt_synthesis.trajectory, mt_kl.kl)
-    assert rep.passed, rep.to_dict()
-    assert rep.n_nodes == mt_synthesis.trajectory.n_nodes
-    assert rep.worst_slack <= rep.tol
+    assert rep["passed"], rep
+    assert rep["n_nodes"] == mt_synthesis.trajectory.n_nodes
+    assert rep["worst_slack"] <= rep["tol"]
+
+
+def test_decay_audit_is_a_plain_report(mt_synthesis, mt_kl):
+    rep = verify_kl(mt_synthesis.trajectory, mt_kl.kl)
+    assert type(rep) is dict
+    assert set(rep) == {"passed", "worst_slack", "worst_time", "n_nodes", "tol"}
+    assert repr(as_plain(rep)) == repr(rep)
+    # a trajectory without nodes has no slack: -inf, written as None
+    none = np.zeros(0)
+    empty = replace(mt_synthesis.trajectory, t=none, s=none, states=np.zeros((0, 1)),
+                    a_index=none, cost=none, u=none, d=none)
+    rep = verify_kl(empty, mt_kl.kl)
+    assert rep["n_nodes"] == 0 and rep["worst_slack"] == -np.inf
+    assert as_plain(rep) == dict(rep, worst_slack=None)
