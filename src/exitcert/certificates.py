@@ -55,6 +55,17 @@ ACT_TOL = 1e-9
 # arrays span one block, and only a block's band and failing rows outlive it.
 BLOCK_ROWS = 1 << 16
 
+# verify_mrf_band's positive-definiteness check: U > 0 wherever d(x) > POSDEF_D_TOL,
+# and U comes within ZERO_LEVEL_TOL of 0 on the collar around the target.
+POSDEF_D_TOL = 1e-3
+ZERO_LEVEL_TOL = 0.05
+
+# verify_mrf_band's margin table has this many levels from delta to sigma.
+N_LEVELS = 9
+
+# build_decrease_modulus keeps the modulus below (1 - ETA) times the margins; 0 < ETA < 1.
+ETA = 0.1
+
 
 # ----------------------------------------------------------------------
 # sampling grids
@@ -209,7 +220,6 @@ class DecreaseModulus:
     """
 
     pl: MonotonePL
-    eta: float
 
     def __call__(self, u):
         val = self.pl(u)
@@ -218,7 +228,7 @@ class DecreaseModulus:
         return np.maximum(val, 0.0, out=val)
 
 
-def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> DecreaseModulus:
+def build_decrease_modulus(m_hat_samples: Sequence) -> DecreaseModulus:
     """Turn sampled band margins into a strictly increasing modulus.
 
     m_hat_samples is a sequence of (level, margin) pairs with positive,
@@ -226,15 +236,13 @@ def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> Decreas
     sample and scales them by a strictly increasing factor that reaches
     1 at the top sample:
 
-        w_i = (1 - eta) * m_hat_{i-1} * (1 + (i+1)/n) / 2      (0-based)
+        w_i = (1 - ETA) * m_hat_{i-1} * (1 + (i+1)/n) / 2      (0-based)
 
-    with w_0 built from m_hat_0.  Lagging keeps m below (1 - eta) times
+    with w_0 built from m_hat_0.  Lagging keeps m below (1 - ETA) times
     the step-constant margin everywhere between samples, not just at
     them, and the scale keeps the knot values strictly increasing even
     where the sampled margins are flat.
     """
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
     pairs = sorted((float(a), float(b)) for a, b in m_hat_samples)
     if not pairs:
         raise ValueError("need at least one margin sample")
@@ -252,14 +260,14 @@ def build_decrease_modulus(m_hat_samples: Sequence, eta: float = 0.1) -> Decreas
     n = len(pairs)
     lagged = np.concatenate(([margins[0]], margins[:-1]))
     scale = (1.0 + np.arange(1, n + 1) / n) / 2.0
-    w = (1.0 - eta) * lagged * scale
+    w = (1.0 - ETA) * lagged * scale
 
     xs = np.concatenate(([0.0], levels))
     ys = np.concatenate(([0.0], w))
     pl = MonotonePL(xs, ys)
     if not pl.is_strictly_increasing:
         raise ValueError("modulus construction produced a flat segment")
-    return DecreaseModulus(pl=pl, eta=eta)
+    return DecreaseModulus(pl=pl)
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +469,6 @@ def verify_mrf_band(
     grid: GridSpec,
     *,
     margin: float = 0.0,
-    d_tol: float = 1e-3,
-    u_tol: float = 0.05,
-    n_levels: int = 9,
 ) -> BandCertificate:
     """Sample the band {delta <= U <= sigma} and certify strict H-decrease.
 
@@ -483,13 +488,11 @@ def verify_mrf_band(
         raise ConfigError(f"need 0 < delta < sigma, got delta={delta}, sigma={sigma}")
     if grid.dim != system.state_dim:
         raise ConfigError("grid dimension does not match the system")
-    if n_levels < 1:
-        raise ConfigError("n_levels must be at least 1")
 
     notes: list[str] = []
     n_grid = grid.n_points
     half = 0.5 * grid.spacing
-    collar_d = d_tol + 2.0 * grid.spacing
+    collar_d = POSDEF_D_TOL + 2.0 * grid.spacing
 
     # --- one pass over U and d, block by block -----------------------------
     # Each block leaves only reductions and its failing and band rows.  An
@@ -511,7 +514,7 @@ def verify_mrf_band(
         if nonfinite is not None:
             continue
 
-        off = D > d_tol
+        off = D > POSDEF_D_TOL
         bad = off & (U <= 0.0)
         posdef_rows.append((idx[bad], U[bad], D[bad]))
         if np.any(off):
@@ -551,16 +554,16 @@ def verify_mrf_band(
         ]
         raise PositiveDefinitenessViolation(records, int(bad_idx.size))
 
-    posdef: dict = {"d_tol": d_tol, "u_tol": u_tol, "min_u_off_target": min_off}
+    posdef: dict = {"d_tol": POSDEF_D_TOL, "u_tol": ZERO_LEVEL_TOL, "min_u_off_target": min_off}
     if n_collar:
         posdef["collar_touch"] = touch
         posdef["n_collar"] = n_collar
-        if touch > u_tol:
+        if touch > ZERO_LEVEL_TOL:
             rec = violation(
                 "zero_level_gap",
                 grid.rows(np.array([touch_i]))[0],
                 touch,
-                detail=f"U does not come within {u_tol} of 0 near the target",
+                detail=f"U does not come within {ZERO_LEVEL_TOL} of 0 near the target",
             )
             raise PositiveDefinitenessViolation([rec], 1)
     else:
@@ -584,8 +587,8 @@ def verify_mrf_band(
         raise ConfigError(
             f"no grid samples in the band [{delta}, {sigma}]; refine the grid or widen the band"
         )
-    levels = np.linspace(delta, sigma, n_levels)
-    top_h = np.full(n_levels, np.nan)
+    levels = np.linspace(delta, sigma, N_LEVELS)
+    top_h = np.full(N_LEVELS, np.nan)
     columns: list = [[], [], [], [], []]  # rows, U, H, piece, n_active
     max_p = 0.0
     for idx, u in band_rows:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .certificates import (
+    ETA,
     DecreaseModulus,
     IntegrabilityError,
     PositiveDefinitenessViolation,
@@ -136,9 +137,12 @@ def _read_stage(path: Path) -> Optional[dict]:
     if not path.is_file():
         return None
     try:
-        return json.loads(path.read_text())
+        payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return payload
 
 
 def _provenance_conflicts(sources: dict) -> dict:
@@ -181,9 +185,6 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             vcfg.sigma,
             grid,
             margin=vcfg.margin,
-            d_tol=vcfg.d_tol,
-            u_tol=vcfg.u_tol,
-            n_levels=vcfg.n_levels,
         )
     except PositiveDefinitenessViolation as exc:
         rejection = {
@@ -199,7 +200,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
     supers = None
     if cert is not None:
         try:
-            modulus = build_decrease_modulus(cert.m_hat_samples, eta=vcfg.eta)
+            modulus = build_decrease_modulus(cert.m_hat_samples)
         except ValueError as exc:
             modulus_error = str(exc)
             log.warning("no decrease modulus: %s", exc)
@@ -257,7 +258,7 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
                 {
                     "knot_levels": modulus.pl.xs.tolist(),
                     "knot_values": modulus.pl.ys.tolist(),
-                    "eta": modulus.eta,
+                    "eta": ETA,
                 }
                 if modulus is not None
                 else None
@@ -338,7 +339,7 @@ def _synthesize_one(example, modulus, syn_cfg, sigma, kl, idx, x0):
     return entry, traj
 
 
-def _stored_modulus(verify: dict, eta: float) -> DecreaseModulus:
+def _stored_modulus(verify: dict) -> DecreaseModulus:
     """Rebuild the decrease modulus from a verify report's margin table.
 
     Raises ``ValueError`` saying why when the report carries no usable
@@ -350,7 +351,7 @@ def _stored_modulus(verify: dict, eta: float) -> DecreaseModulus:
     samples = (verify.get("certificate") or {}).get("m_hat_samples") or []
     if any(v is None for pair in samples for v in pair):
         raise ValueError("the margin table holds a non-finite margin")
-    modulus = build_decrease_modulus(samples, eta=eta)
+    modulus = build_decrease_modulus(samples)
     if (modulus.pl.xs.tolist() != stored.get("knot_levels")
             or modulus.pl.ys.tolist() != stored.get("knot_values")):
         raise ValueError("the margin table does not rebuild the stored modulus knots")
@@ -387,7 +388,7 @@ def cmd_synthesize(args) -> int:
         print("synthesize: blocked, candidate not certified (see verify_report.json)")
         return EXIT_FAILURE
     try:
-        modulus = _stored_modulus(verify, vcfg.eta)
+        modulus = _stored_modulus(verify)
     except ValueError as exc:
         log.error("cannot synthesize without a decrease modulus: %s", exc)
         print("synthesize: blocked, no decrease modulus")
@@ -621,9 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed to record in report provenance (no stage draws "
                         "random numbers)")
-    common.add_argument("--force", action="store_true",
-                        help="synthesize from a verify report that did not pass "
-                        "(never from a missing one or one from another run)")
     common.add_argument("-v", "--verbose", action="count", default=0,
                         help="more stderr logging (-vv for debug)")
 
@@ -633,6 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", parents=[common],
                        help="run the constructive pipeline from configured states")
+    p.add_argument("--force", action="store_true",
+                   help="synthesize from a verify report that did not pass "
+                   "(never from a missing one or one from another run)")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("oracle", parents=[common],

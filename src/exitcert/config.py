@@ -201,10 +201,6 @@ class VerifySection:
     sigma: float = _bounded(lo=0.0, lo_open=True)
     grid: GridSpec
     margin: float = _bounded(0.0, lo=0.0)
-    d_tol: float = _bounded(1e-3, lo=0.0, lo_open=True)
-    u_tol: float = _bounded(0.05, lo=0.0)
-    eta: float = _bounded(0.1, lo=0.0, lo_open=True, hi=0.9)
-    n_levels: int = _bounded(9, lo=2, hi=4096)
 
 
 @dataclass(frozen=True)
@@ -217,9 +213,9 @@ class PetrovSection:
 
 @dataclass(frozen=True, kw_only=True)
 class SynthesisSection(SynthesisConfig):
-    """The integrator's tunables plus the start states.
+    """The synthesis settings plus the start states.
 
-    Each tunable's range is checked once, in ``SynthesisConfig.__post_init__``.
+    Each setting's range is checked once, in ``SynthesisConfig.__post_init__``.
     """
 
     initial_states: tuple

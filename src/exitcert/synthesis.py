@@ -103,38 +103,38 @@ class ModulusError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Tunables of the leg integrator; defaults match the test suite."""
+    """The two settings of a synthesis run; the integrator's other numbers are constants below."""
 
     epsilon: float = 0.1          # cost slack: budget (1+epsilon) * U(x) / p0_bar
-    nu_ratio: float = 0.5         # geometric level cascade mu_k = nu^k * U(x)
-    max_levels: int = 20
-    delta_init: float = 0.1       # first trial step length in the s-clock
-    substeps: int = 16            # RK4 substeps per step (even, for coarse/fine quadrature)
     d_tol: float = 1e-3           # stop once d(x) falls below this
-    level_tol_rel: float = 1e-8   # level crossing tolerance, relative to mu_hat
-    delta_min_rel: float = 1e-9   # step collapse floor, relative to delta_init
-    mf_safety: float = 2.0        # local speed estimate inflation
-    max_steps_per_leg: int = 20000
 
     def __post_init__(self) -> None:
         # the one set of range checks, for library and YAML input alike;
         # each message starts with the field's name
-        checks = (
-            ("epsilon", self.epsilon > 0, "must be > 0"),
-            ("nu_ratio", 0 < self.nu_ratio <= 0.999, "must lie in (0, 0.999]"),
-            ("max_levels", 1 <= self.max_levels <= 10000, "must lie in [1, 10000]"),
-            ("delta_init", self.delta_init > 0, "must be > 0"),
-            ("substeps", 2 <= self.substeps <= 4096 and self.substeps % 2 == 0,
-             "must be an even number in [2, 4096] (the error estimate halves the path)"),
-            ("d_tol", self.d_tol > 0, "must be > 0"),
-            ("level_tol_rel", 0 < self.level_tol_rel <= 1e-2, "must lie in (0, 0.01]"),
-            ("delta_min_rel", 0 < self.delta_min_rel <= 1e-2, "must lie in (0, 0.01]"),
-            ("mf_safety", self.mf_safety >= 1, "must be >= 1"),
-            ("max_steps_per_leg", self.max_steps_per_leg >= 1, "must be >= 1"),
-        )
-        for name, ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"{name} {rule}, got {getattr(self, name)!r}")
+        for name in ("epsilon", "d_tol"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
+
+
+# geometric level cascade mu_k = NU_RATIO^k * U(x), for at most MAX_LEVELS legs
+NU_RATIO = 0.5
+MAX_LEVELS = 20
+
+# first trial step length in the s-clock; a step collapses below DELTA_MIN_REL * DELTA_INIT
+DELTA_INIT = 0.1
+DELTA_MIN_REL = 1e-9
+
+# RK4 substeps per step; even, since reparam_to_time's error estimate pairs the substeps
+SUBSTEPS = 16
+
+# level crossing tolerance, relative to the leg's exit level mu_hat
+LEVEL_TOL_REL = 1e-8
+
+# inflation of the local speed estimate that bounds a trial step's length
+MF_SAFETY = 2.0
+
+# a leg that takes more steps than this raises StepCollapse
+MAX_STEPS_PER_LEG = 20000
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +183,7 @@ def feedback_select(
                 best_q = q
                 best_k = k
                 best_p = p
-    if best_p is None or best_q > -1.0:
+    if best_q > -1.0:  # also when no pair was scanned: best_q is still inf
         raise FeedbackGap(x, best_q, best_k)
     return FeedbackChoice(a_index=best_k, p=np.asarray(best_p, dtype=float), quotient=best_q,
                           f=fs[best_k], g=gs[best_k])
@@ -345,9 +345,9 @@ def integrate_leg(
     if not 0 < mu_hat < mu_bar:
         raise ConfigError(f"need 0 < mu_hat < mu_bar, got {mu_hat}, {mu_bar}")
     eps1 = config.epsilon + 1.0
-    level_tol = max(config.level_tol_rel * mu_hat, 1e-15)
-    delta_min = config.delta_min_rel * config.delta_init
-    n_sub = config.substeps
+    level_tol = max(LEVEL_TOL_REL * mu_hat, 1e-15)
+    delta_min = DELTA_MIN_REL * DELTA_INIT
+    n_sub = SUBSTEPS
 
     u0 = mrf.u(x0)
     if u0 > mu_bar * (1.0 + 1e-6) + 1e-12:
@@ -373,8 +373,8 @@ def integrate_leg(
         if u_anchor <= mu_hat + level_tol:
             status = TrajectoryStatus.REACHED_LEVEL
             break
-        if len(steps) >= config.max_steps_per_leg:
-            raise StepCollapse(state, 0.0, f"exceeded {config.max_steps_per_leg} steps per leg")
+        if len(steps) >= MAX_STEPS_PER_LEG:
+            raise StepCollapse(state, 0.0, f"exceeded {MAX_STEPS_PER_LEG} steps per leg")
 
         choice = feedback_select(system, mrf, modulus, state)
         F = _make_field(system, mrf, modulus, choice.a_index, mu_hat, sigma)
@@ -383,8 +383,8 @@ def integrate_leg(
         # so the cutoff stays at 1 along any accepted step
         L_loc = max(float(np.linalg.norm(choice.p)), 1e-12)
         R = mu_hat / (2.0 * L_loc)
-        speed = config.mf_safety * max(float(np.linalg.norm(choice.f)), 1e-12) / choice.g
-        trial = min(config.delta_init, mu_hat / 2.0, R / speed)
+        speed = MF_SAFETY * max(float(np.linalg.norm(choice.f)), 1e-12) / choice.g
+        trial = min(DELTA_INIT, mu_hat / 2.0, R / speed)
 
         # one accepted step; halve the trial length on any failed audit
         while True:
@@ -743,8 +743,8 @@ def synthesize(
     state = x0.copy()
     status = TrajectoryStatus.TRUNCATED
     mu_prev = u0
-    for k in range(1, config.max_levels + 1):
-        mu_k = u0 * config.nu_ratio**k
+    for k in range(1, MAX_LEVELS + 1):
+        mu_k = u0 * NU_RATIO**k
         if target.d(state) < config.d_tol:
             status = TrajectoryStatus.APPROACHED_TARGET
             break

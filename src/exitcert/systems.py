@@ -85,6 +85,8 @@ class ControlSystem:
         if self.state_dim < 1:
             raise ConfigError("state_dim must be at least 1")
         controls = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in self.control_set)
+        if not controls:
+            raise ConfigError("control set is empty")
         object.__setattr__(self, "control_set", controls)
 
     @property
@@ -161,8 +163,6 @@ def hamiltonian(system: ControlSystem, X: np.ndarray, p0: float, P: np.ndarray) 
     H(x, p0, p) = min over the control set of p0*l(x, a) + <p, f(x, a)>,
     evaluated on (N, dim) blocks with one model call per control.
     """
-    if not system.control_set:
-        raise ConfigError("control set is empty")
     if p0 < 0:
         raise ValueError("p0 must be non-negative")
     H = np.full(len(X), np.inf)

@@ -114,8 +114,6 @@ def test_modulus_rejects_bad_samples():
         build_decrease_modulus([(0.0, 0.5)])
     with pytest.raises(ValueError):
         build_decrease_modulus([(1.0, 0.5), (2.0, 0.1)])  # decreasing margins
-    with pytest.raises(ValueError):
-        build_decrease_modulus([(1.0, 0.5)], eta=1.5)
 
 
 # ----------------------------------------------------------------------

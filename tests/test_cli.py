@@ -313,9 +313,9 @@ INFINITE_GRID_CFG = (
     "system: {name: minimum_time_1d}\nverify: {grid: {lower: [-.inf], upper: [2.0],"
     " spacing: 0.5}, delta: 0.05, sigma: 1.5}"
 )
-NAN_D_TOL_CFG = (
+NAN_MARGIN_CFG = (
     "system: {name: minimum_time_1d}\nverify: {grid: {lower: [-2.0], upper: [2.0],"
-    " spacing: 0.5}, delta: 0.05, sigma: 1.5, d_tol: .nan}"
+    " spacing: 0.5}, delta: 0.05, sigma: 1.5, margin: .nan}"
 )
 NAN_ORACLE_TOL_CFG = (
     "system: {name: minimum_time_1d}\nverify: {grid: {lower: [-2.0], upper: [2.0],"
@@ -323,6 +323,9 @@ NAN_ORACLE_TOL_CFG = (
     " upper: [2.0], spacing: 0.5}, h: 0.5, oracle_tol: .nan}"
 )
 NAN_PARAM_CFG = SPIRAL_COARSE_CFG.replace("epsilon: 0.5", "epsilon: .nan")
+ZERO_EPSILON_CFG = (
+    "system: {name: minimum_time_1d}\nsynthesis: {epsilon: 0.0, initial_states: [[1.0]]}"
+)
 
 BAD_CONFIGS = [
     "bogus: 1\nsystem: {name: minimum_time_1d}",
@@ -334,12 +337,13 @@ BAD_CONFIGS = [
     "system: {name: minimum_time_1d}\nsynthesis: {initial_states: [[1.0, 2.0]]}",
     "system: [not, a, mapping]",
     "foo: [unclosed",
-    ODD_SUBSTEPS_CFG,
+    ODD_SUBSTEPS_CFG,  # substeps: an unknown key
     REVERSED_GRID_CFG,
     INFINITE_GRID_CFG,
-    NAN_D_TOL_CFG,
+    NAN_MARGIN_CFG,
     NAN_ORACLE_TOL_CFG,
     NAN_PARAM_CFG,
+    ZERO_EPSILON_CFG,
 ]
 
 
@@ -352,10 +356,10 @@ def test_bad_configs_exit_2(tmp_path, text):
 @pytest.mark.parametrize(
     "text, dotted",
     [
-        (ODD_SUBSTEPS_CFG, "synthesis.substeps"),
+        (ZERO_EPSILON_CFG, "synthesis.epsilon"),
         (REVERSED_GRID_CFG, "verify.grid"),
         (INFINITE_GRID_CFG, "verify.grid.lower[0]"),
-        (NAN_D_TOL_CFG, "verify.d_tol"),
+        (NAN_MARGIN_CFG, "verify.margin"),
         (NAN_ORACLE_TOL_CFG, "oracle.oracle_tol"),
         (NAN_PARAM_CFG, "system.params.epsilon"),
     ],
@@ -392,19 +396,10 @@ def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch, text):
 
 @pytest.mark.parametrize(
     "key, value",
-    [
-        ("max_steps_per_leg", 2),
-        ("max_steps_per_leg", 0),
-        ("nu_ratio", 0.999),
-        ("nu_ratio", 0.9995),
-        ("substeps", 4098),
-        ("max_levels", 10001),
-        ("level_tol_rel", 0.0),
-        ("delta_min_rel", 0.0),
-    ],
+    [("epsilon", 0.5), ("epsilon", -0.1), ("d_tol", 1e-2), ("d_tol", 0.0)],
 )
 def test_yaml_and_library_share_synthesis_bounds(key, value):
-    """A tunable the library accepts parses from YAML; one it rejects names its field."""
+    """A setting the library accepts parses from YAML; one it rejects names its field."""
     raw = yaml.safe_load(MT_CFG)
     raw["synthesis"][key] = value
     try:
@@ -419,7 +414,11 @@ def test_yaml_and_library_share_synthesis_bounds(key, value):
 @pytest.mark.parametrize(
     "section, key",
     [(None, "threads"), ("synthesis", "band_delta"), ("verify", "max_points"), (None, "kl"),
-     ("verify", "supersolution"), ("synthesis", "band_sigma")],
+     ("verify", "supersolution"), ("synthesis", "band_sigma")]
+    + [("synthesis", key) for key in (
+        "nu_ratio", "max_levels", "delta_init", "substeps", "level_tol_rel", "delta_min_rel",
+        "mf_safety", "max_steps_per_leg")]
+    + [("verify", key) for key in ("d_tol", "u_tol", "eta", "n_levels")],
 )
 def test_removed_knobs_are_unknown_keys(section, key):
     raw = yaml.safe_load(MT_CFG)
@@ -596,6 +595,23 @@ def test_unreadable_stage_report_exits_2(tmp_path, mt_cfg):
     (out / "verify_report.json").write_text("{not json")
     assert main(["synthesize", "-c", mt_cfg, "-o", str(out)]) == 2
     assert main(["report", "-o", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command", ["synthesize", "report"])
+def test_stage_report_that_is_not_an_object_exits_2(tmp_path, mt_cfg, caplog, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "verify_report.json").write_text("[1, 2]")
+    argv = [command, "-o", str(out)] + (["-c", mt_cfg] if command == "synthesize" else [])
+    assert main(argv) == 2
+    assert "verify_report.json does not hold a JSON object" in caplog.text
+
+
+def test_force_is_a_synthesize_flag(tmp_path, mt_cfg):
+    for command in ("verify", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-c", mt_cfg, "-o", str(tmp_path / "out"), "--force"])
+        assert exc.value.code == 2
 
 
 def test_oracle_nonconvergence_exits_3(tmp_path, capsys):

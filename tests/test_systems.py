@@ -42,17 +42,16 @@ def test_minimum_time_hamiltonian_values():
 def test_hamiltonian_rejects_negative_p0():
     with pytest.raises(ValueError):
         hamiltonian(MT.system, np.array([[1.0]]), -0.1, np.array([[1.0]]))
-    empty = ControlSystem(
-        name="empty",
-        state_dim=1,
-        dynamics=lambda x, a: np.zeros(1),
-        lagrangian=lambda x, a: 1.0,
-        control_set=(),
-        batch_dynamics=lambda X, a: np.zeros((len(X), 1)),
-        batch_lagrangian=lambda X, a: np.ones(len(X)),
-    )
     with pytest.raises(ConfigError, match="empty"):
-        hamiltonian(empty, np.array([[1.0]]), 0.5, np.array([[1.0]]))
+        ControlSystem(
+            name="empty",
+            state_dim=1,
+            dynamics=lambda x, a: np.zeros(1),
+            lagrangian=lambda x, a: 1.0,
+            control_set=(),
+            batch_dynamics=lambda X, a: np.zeros((len(X), 1)),
+            batch_lagrangian=lambda X, a: np.ones(len(X)),
+        )
 
 
 @settings(max_examples=80, deadline=None)
