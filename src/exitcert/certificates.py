@@ -164,8 +164,9 @@ class CandidateMrf:
         if not self.smooth_pieces:
             raise ConfigError("candidate needs at least one smooth piece")
 
-    def u(self, x: np.ndarray) -> float:
-        return float(self.value(np.asarray(x, dtype=float)))
+    def u(self, x) -> float:
+        """U at one state, an array row or a tuple of floats, passed to ``value`` as given."""
+        return float(self.value(x))
 
     def u_batch(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.batch_value(X), dtype=float)

@@ -91,6 +91,11 @@ def minimum_time_1d(p0_bar: float = 0.9) -> ExampleSpec:
     )
 
 
+def _row(x) -> np.ndarray:
+    """One state, an array row or a tuple of floats, as a (1, dim) block."""
+    return np.asarray(x, dtype=float)[None]
+
+
 # ----------------------------------------------------------------------
 # 1-d power law: x' = a*m1*|x|^r, cost m2*|x|^s
 
@@ -130,8 +135,8 @@ def power_law(
     system = ControlSystem(
         name="power_law",
         state_dim=1,
-        dynamics=lambda x, a: f_batch(x[None], a)[0],
-        lagrangian=lambda x, a: float(l_batch(x[None], a)[0]),
+        dynamics=lambda x, a: f_batch(_row(x), a)[0],
+        lagrangian=lambda x, a: float(l_batch(_row(x), a)[0]),
         control_set=(np.array([-1.0]), np.array([1.0])),
         batch_dynamics=f_batch,
         batch_lagrangian=l_batch,
@@ -162,7 +167,7 @@ def power_law(
 
     mrf = CandidateMrf(
         name=f"power_antiderivative_e={e:g}",
-        value=lambda x: float(u_batch(x[None])[0]),
+        value=lambda x: float(u_batch(_row(x))[0]),
         batch_value=u_batch,
         p0_bar=p0_bar,
         smooth_pieces=_two_sided_pieces(u_of_rho, grad_mag),

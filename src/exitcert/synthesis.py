@@ -148,7 +148,7 @@ class FeedbackChoice:
     a_index: int
     p: np.ndarray
     quotient: float
-    f: np.ndarray
+    f: tuple
     g: float
 
 
@@ -207,33 +207,41 @@ def _cutoff(u: float, mu_hat: float, sigma: float) -> float:
 
 
 def _make_field(system, mrf, modulus, a_index, mu_hat, sigma):
+    """The normalized field psi(U) f/g of one control, on tuples of floats."""
     p0 = mrf.p0_bar
 
-    def F(z: np.ndarray) -> np.ndarray:
+    def F(z: tuple) -> tuple:
         f = eval_dynamics(system, z, a_index)
         l = eval_lagrangian(system, z, a_index)
         u = mrf.u(z)
         g = p0 * l + float(modulus(u))
         if g <= 0:
             raise ModulusError(z, g)
-        return _cutoff(u, mu_hat, sigma) * f / g
+        c = _cutoff(u, mu_hat, sigma)
+        return tuple([c * fi / g for fi in f])
 
     return F
 
 
-def _rk4_path(F, z0: np.ndarray, length: float, n: int) -> np.ndarray:
+def _rk4_path(F, z0, length: float, n: int) -> np.ndarray:
+    """n RK4 substeps of F from z0 over length; returns the (n+1, dim) path.
+
+    The state is a tuple of floats, and each update rounds as the array
+    form z + (h/6)*(k1 + 2*k2 + 2*k3 + k4) does, element by element.
+    """
     h = length / n
-    out = np.empty((n + 1, len(z0)))
-    z = np.asarray(z0, dtype=float)
-    out[0] = z
-    for i in range(n):
+    half, sixth = 0.5 * h, h / 6.0
+    z = tuple(np.asarray(z0, dtype=float).tolist())
+    rows = [z]
+    for _ in range(n):
         k1 = F(z)
-        k2 = F(z + 0.5 * h * k1)
-        k3 = F(z + 0.5 * h * k2)
-        k4 = F(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = z
-    return out
+        k2 = F(tuple([zi + half * ki for zi, ki in zip(z, k1)]))
+        k3 = F(tuple([zi + half * ki for zi, ki in zip(z, k2)]))
+        k4 = F(tuple([zi + h * ki for zi, ki in zip(z, k3)]))
+        z = tuple([zi + sixth * (a + 2.0 * b + 2.0 * c + d)
+                   for zi, a, b, c, d in zip(z, k1, k2, k3, k4)])
+        rows.append(z)
+    return np.array(rows)
 
 
 @dataclass

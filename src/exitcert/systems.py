@@ -70,7 +70,9 @@ class ControlSystem:
     block and one control value and return (N, dim) / (N,); every grid
     sweep uses them.  ``dynamics`` and ``lagrangian`` take one state and
     one control value; they serve synthesis, whose integrator evaluates
-    one point at a time.
+    one point at a time.  The one state may be an array row or a tuple
+    of floats, and the result must equal the block form's row bit for
+    bit.
     """
 
     name: str
@@ -99,20 +101,27 @@ class ControlSystem:
         return self.control_set[a_index]
 
 
-def eval_dynamics(system: ControlSystem, x: np.ndarray, a_index: int) -> np.ndarray:
+def eval_dynamics(system: ControlSystem, x, a_index: int) -> tuple:
+    """f(x, a) at one state, checked, as a tuple of floats.
+
+    x goes to the model's point form as given: an array row or a tuple
+    of floats.
+    """
     a = system.control(a_index)
-    f = np.asarray(system.dynamics(np.asarray(x, dtype=float), a), dtype=float)
+    f = np.asarray(system.dynamics(x, a), dtype=float)
     if f.shape != (system.state_dim,):
         raise ConfigError(f"dynamics returned shape {f.shape}, expected ({system.state_dim},)")
-    # one state has a handful of entries: math.isfinite on a list beats a ufunc
-    if not all(map(math.isfinite, f.tolist())):
-        raise SingularDynamics(x, f"f(x, a[{a_index}])={f.tolist()}")
-    return f
+    vals = tuple(f.tolist())
+    # one state has a handful of entries: math.isfinite on floats beats a ufunc
+    if not all(map(math.isfinite, vals)):
+        raise SingularDynamics(x, f"f(x, a[{a_index}])={list(vals)}")
+    return vals
 
 
-def eval_lagrangian(system: ControlSystem, x: np.ndarray, a_index: int) -> float:
+def eval_lagrangian(system: ControlSystem, x, a_index: int) -> float:
+    """l(x, a) at one state, checked; x is passed as given, like eval_dynamics'."""
     a = system.control(a_index)
-    val = float(system.lagrangian(np.asarray(x, dtype=float), a))
+    val = float(system.lagrangian(x, a))
     if not math.isfinite(val):
         raise SingularDynamics(x, f"l(x, a[{a_index}])={val}")
     if val < 0:

@@ -244,11 +244,14 @@ def _assert_point_forms_match_block(ex, X):
         for a in system.control_set:
             F = system.batch_dynamics(X, a)
             L = system.batch_lagrangian(X, a)
-            for i, x in enumerate(X):
-                assert _same_bits(system.dynamics(x, a), F[i]), (x, a)
-                assert _same_bits(system.lagrangian(x, a), L[i]), (x, a)
-        for i, x in enumerate(X):
-            assert _same_bits(mrf.u(x), U[i]), x
+            for i, row in enumerate(X):
+                # the integrator passes tuples of floats, other callers array rows
+                for x in (row, tuple(row.tolist())):
+                    assert _same_bits(system.dynamics(x, a), F[i]), (x, a)
+                    assert _same_bits(system.lagrangian(x, a), L[i]), (x, a)
+        for i, row in enumerate(X):
+            for x in (row, tuple(row.tolist())):
+                assert _same_bits(mrf.u(x), U[i]), x
 
 
 @pytest.mark.parametrize("name,params", POINT_FORM_EXAMPLES)

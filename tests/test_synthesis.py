@@ -29,6 +29,7 @@ from exitcert.synthesis import (
     verify_kl,
 )
 from exitcert.systems import ConfigError, TrajectoryStatus
+from rk4_reference import array_field, array_rk4_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -222,6 +223,44 @@ def test_crossing_step_is_integrated_once(mt, monkeypatch):
     assert leg.work["crossing_evals"] == len(pairs)
     assert leg.work["rk4_paths"] == len(paths)
     assert leg.work["rk4_substeps"] == sum(p[2] for p in paths)
+
+
+def _start_states(name, rng):
+    """Seeded states in the band of the mt or ring fixture, with a leg level below each."""
+    if name == "mt":
+        xs = rng.uniform(0.1, 1.4, size=(12, 1)) * rng.choice([-1.0, 1.0], size=(12, 1))
+    else:
+        rho = rng.uniform(3.42, 3.99, size=12)
+        ang = rng.uniform(0.0, 2.0 * np.pi, size=12)
+        xs = np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=1)
+    return xs
+
+
+@pytest.mark.parametrize("name", ["mt", "ring"])
+def test_float_rk4_matches_the_array_rk4_bitwise(name, request):
+    """The tuple-of-floats field and RK4 round exactly as their 1-d array forms.
+
+    Every state takes the integrator's own trial length, and a level
+    whose half sits above some states, so the cutoff's ramp is
+    exercised too.
+    """
+    ns = request.getfixturevalue(name)
+    ex = ns.ex
+    for x in _start_states(name, np.random.default_rng(7)):
+        choice = feedback_select(ex.system, ex.mrf, ns.modulus, x)
+        u = ex.mrf.u(x)
+        for mu_hat in (0.5 * u, 0.9 * u, 3.0 * u):
+            R = mu_hat / (2.0 * float(np.linalg.norm(choice.p)))
+            speed = synthesis_mod.MF_SAFETY * float(np.linalg.norm(choice.f)) / choice.g
+            trial = min(synthesis_mod.DELTA_INIT, mu_hat / 2.0, R / speed)
+            args = (ex.system, ex.mrf, ns.modulus, choice.a_index, mu_hat, ns.sigma)
+            F, G = synthesis_mod._make_field(*args), array_field(*args)
+            assert F(tuple(x.tolist())) == tuple(G(x).tolist())
+            for length, n in ((trial, synthesis_mod.SUBSTEPS), (0.3 * trial, 2)):
+                got = synthesis_mod._rk4_path(F, x, length, n)
+                want = array_rk4_path(G, x, length, n)
+                assert got.shape == want.shape == (n + 1, len(x))
+                assert got.tobytes() == want.tobytes()
 
 
 def _one_step_leg(inv_g_of_s, s):
