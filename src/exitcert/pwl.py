@@ -5,6 +5,8 @@ envelopes and the composed decay certificate: everything downstream is
 either a knot table or a composition of knot tables.  Inverting a
 strictly increasing piecewise-linear function is exact (swap the knot
 columns), so the decay certificate never needs iterative root finding.
+The one root finder here, ``illinois_root``, locates the level crossings
+of the synthesis integrator.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ __all__ = [
     "pwl_min",
     "lift_strict",
     "lower_strict",
-    "bisect_root",
+    "illinois_root",
 ]
 
 
@@ -256,38 +258,52 @@ def lower_strict(xs: np.ndarray, ys: np.ndarray, min_slope: float) -> np.ndarray
 
 
 # ----------------------------------------------------------------------
-# scalar bisection
+# scalar root finding
 
 
-def bisect_root(
+def illinois_root(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
     *,
     ftol: float = 0.0,
 ) -> float:
-    """Find a root of fn on [lo, hi] by bisection.
+    """Find a root of fn on [lo, hi] by the Illinois variant of regula falsi.
 
     fn(lo) and fn(hi) must bracket zero (opposite signs, or one of them
-    already a root).  Stops once |fn| <= ftol or the bracket is 1e-12
-    wide, or after 200 halvings; returns the midpoint of the final
-    bracket.
+    already within ftol of it).  Each step evaluates fn at the secant
+    point of the bracket, or at its midpoint when rounding puts the
+    secant point on or outside an end, and keeps the half with the sign
+    change.  When the same end survives two steps in a row, the value
+    kept for it is halved (Dowell & Jarratt, BIT 11, 1971), so a convex
+    fn cannot pin one end the way it stalls plain regula falsi.  Stops
+    once |fn| <= ftol or the bracket is 1e-12 wide, or after 200 steps;
+    the point returned is always one fn was evaluated at.
     """
     flo = fn(lo)
-    if flo == 0.0 or abs(flo) <= ftol:
+    if abs(flo) <= ftol:
         return lo
     fhi = fn(hi)
-    if fhi == 0.0 or abs(fhi) <= ftol:
+    if abs(fhi) <= ftol:
         return hi
-    if np.sign(flo) == np.sign(fhi):
+    if (flo < 0) == (fhi < 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    kept = 0  # +1 after a step that kept hi, -1 after one that kept lo
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if abs(fmid) <= ftol or (hi - lo) <= 1e-12:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
+        t = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        ft = fn(t)
+        if abs(ft) <= ftol or (hi - lo) <= 1e-12:
+            break
+        if (ft < 0) == (flo < 0):
+            lo, flo = t, ft
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, fhi = t, ft
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+    return t

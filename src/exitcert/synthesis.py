@@ -21,7 +21,7 @@ import numpy as np
 from . import certificates
 from .certificates import D_FLOOR, CandidateMrf, DecreaseModulus, GridSpec
 from .pwl import (
-    MonotonePL, bisect_root, level_max, lift_strict, lower_strict, pwl_min, sorted_unique,
+    MonotonePL, illinois_root, level_max, lift_strict, lower_strict, pwl_min, sorted_unique,
 )
 from .systems import (
     ConfigError,
@@ -207,10 +207,14 @@ def _cutoff(u: float, mu_hat: float, sigma: float) -> float:
 
 
 def _make_field(system, mrf, modulus, a_index, mu_hat, sigma):
-    """The normalized field psi(U) f/g of one control, on tuples of floats."""
+    """The normalized field psi(U) f/g of one control, on tuples of floats.
+
+    F(z) returns the field at z and U(z), which it needs for g and the
+    cutoff anyway.
+    """
     p0 = mrf.p0_bar
 
-    def F(z: tuple) -> tuple:
+    def F(z: tuple) -> tuple[tuple, float]:
         f = eval_dynamics(system, z, a_index)
         l = eval_lagrangian(system, z, a_index)
         u = mrf.u(z)
@@ -218,14 +222,16 @@ def _make_field(system, mrf, modulus, a_index, mu_hat, sigma):
         if g <= 0:
             raise ModulusError(z, g)
         c = _cutoff(u, mu_hat, sigma)
-        return tuple([c * fi / g for fi in f])
+        return tuple([c * fi / g for fi in f]), u
 
     return F
 
 
-def _rk4_path(F, z0, length: float, n: int) -> np.ndarray:
-    """n RK4 substeps of F from z0 over length; returns the (n+1, dim) path.
+def _rk4_path(F, z0, length: float, n: int, stop_at: float = -math.inf) -> np.ndarray:
+    """RK4 substeps of length/n with F from z0; returns the (m+1, dim) path.
 
+    Integrates all n substeps (m = n), unless a node's U is at or below
+    stop_at: the path then ends one substep past the first such node.
     The state is a tuple of floats, and each update rounds as the array
     form z + (h/6)*(k1 + 2*k2 + 2*k3 + k4) does, element by element.
     """
@@ -234,13 +240,15 @@ def _rk4_path(F, z0, length: float, n: int) -> np.ndarray:
     z = tuple(np.asarray(z0, dtype=float).tolist())
     rows = [z]
     for _ in range(n):
-        k1 = F(z)
-        k2 = F(tuple([zi + half * ki for zi, ki in zip(z, k1)]))
-        k3 = F(tuple([zi + half * ki for zi, ki in zip(z, k2)]))
-        k4 = F(tuple([zi + h * ki for zi, ki in zip(z, k3)]))
+        k1, u = F(z)
+        k2 = F(tuple([zi + half * ki for zi, ki in zip(z, k1)]))[0]
+        k3 = F(tuple([zi + half * ki for zi, ki in zip(z, k2)]))[0]
+        k4 = F(tuple([zi + h * ki for zi, ki in zip(z, k3)]))[0]
         z = tuple([zi + sixth * (a + 2.0 * b + 2.0 * c + d)
                    for zi, a, b, c, d in zip(z, k1, k2, k3, k4)])
         rows.append(z)
+        if u <= stop_at:
+            break
     return np.array(rows)
 
 
@@ -334,20 +342,23 @@ def integrate_leg(
     """Drive U from its value at x0 down to mu_hat with sampled feedback.
 
     Each step freezes the control chosen at its anchor and integrates
-    the normalized field f/g with RK4.  A trial length is accepted only
-    if every substep satisfies the per-step decrease
+    the normalized field f/g with RK4.  A trial path ends one substep
+    past its first node at or below the exit level (plus its tolerance).
+    A trial length is accepted only if every substep of the path
+    satisfies the per-step decrease
     U(z(s)) - U(anchor) <= -(s - s_anchor)/(epsilon+1); otherwise it is
     halved (StepCollapse below the floor).  A step that crosses the exit
     level keeps its trial path up to the last even node before the
     crossing and ends on one pair of equal RK4 substeps from that node,
-    whose length is bisected until U at its end meets the level; the
-    step's substep count stays even.  Steps whose interior already dips
-    to the endpoint value are cut at the first such substep so that node
-    values strictly decrease.  Stops early with status approached_target
-    once d(x) < d_tol.  sigma is the band top at which the field cuts
-    off.  The leg's ``work`` counts RK4 paths and substeps
-    (a path that raises counts in full), rejected trial
-    lengths, crossing evaluations and accepted steps.
+    whose length the Illinois method adjusts until U at its end meets
+    the level; the step's substep count stays even.  Steps whose
+    interior already dips to the endpoint value are cut at the first
+    such substep so that node values strictly decrease.  Stops early
+    with status approached_target once d(x) < d_tol.  sigma is the band
+    top at which the field cuts off.  The leg's ``work`` counts RK4
+    paths and the substeps integrated (a path that raises counts in
+    full), rejected trial lengths, crossing evaluations and accepted
+    steps.
     """
     x0 = np.asarray(x0, dtype=float)
     if not 0 < mu_hat < mu_bar:
@@ -367,10 +378,12 @@ def integrate_leg(
     state = x0.copy()
     s_acc = 0.0
 
-    def rk4(F, z0, length, n):
+    def rk4(F, z0, length, n, stop_at=-math.inf):
         work["rk4_paths"] += 1
         work["rk4_substeps"] += n
-        return _rk4_path(F, z0, length, n)
+        path = _rk4_path(F, z0, length, n, stop_at)
+        work["rk4_substeps"] -= n + 1 - len(path)  # substeps a stop skipped
+        return path
 
     while status is None:
         u_anchor = mrf.u(state)
@@ -399,12 +412,12 @@ def integrate_leg(
             if trial < delta_min:
                 raise StepCollapse(state, trial, "per-step decrease unattainable")
             try:
-                path = rk4(F, state, trial, n_sub)
+                path = rk4(F, state, trial, n_sub, mu_hat + level_tol)
             except (ModulusError, SingularDynamics):
                 work["rejected_trials"] += 1
                 trial *= 0.5
                 continue
-            ds = trial * np.arange(n_sub + 1) / n_sub
+            ds = trial * np.arange(len(path)) / n_sub
             u_path = mrf.u_batch(path)
             slack = 1e-13 * (1.0 + trial)
             if not np.all(u_path - u_anchor <= -ds / eps1 + slack) or (
@@ -432,12 +445,12 @@ def integrate_leg(
 
             if cross_i is not None:
                 # exit-level crossing: keep the trial path up to the last even
-                # node j before it, and bisect the length of one final pair of
-                # equal RK4 substeps from there; the kept tail is the pair the
-                # bisection ended on, so the step's substep count stays even
+                # node j before it, and solve for the length of one final pair
+                # of equal RK4 substeps from there; the kept tail is the pair
+                # the root finder returned, so the substep count stays even
                 j = (cross_i - 1) - (cross_i - 1) % 2
                 s_j, z_j = float(ds[j]), path[j]
-                tails = {s_j: path[[j, j, j]]}  # bisect_root reads this zero-length pair first
+                tails = {s_j: path[[j, j, j]]}  # illinois_root reads this zero-length pair first
 
                 def gap(t: float) -> float:
                     if t not in tails:
@@ -447,10 +460,10 @@ def integrate_leg(
 
                 hi = float(ds[cross_i])
                 if gap(hi) > level_tol and cross_i < n_sub:
-                    # the pair's end can miss the level the trial path met
+                    # the pair's end can miss the level the trial path met;
+                    # the trial path ran one substep past cross_i for this
                     hi = float(ds[cross_i + 1])
-                length = bisect_root(gap, s_j, hi, ftol=level_tol)
-                gap(length)  # integrates only if bisect_root ran out of halvings
+                length = illinois_root(gap, s_j, hi, ftol=level_tol)
                 path = np.concatenate([path[:j], tails[length]])
                 ds = np.append(ds[: j + 1], [s_j + 0.5 * (length - s_j), length])
                 u_path = mrf.u_batch(path)
@@ -469,14 +482,11 @@ def integrate_leg(
             # reaches the end value, so node values strictly decrease
             u_end = u_path[-1]
             kstar = int(np.where(u_path[1:] <= u_end)[0][0]) + 1
-            if kstar < n_sub:
-                length = float(ds[kstar])
-                ds = ds[: kstar + 1]
-                path = path[: kstar + 1]
-                u_path = u_path[: kstar + 1]
-                d_path = d_path[: kstar + 1]
-            else:
-                length = float(trial)
+            length = float(ds[kstar])  # the trial length when kstar is the last node
+            ds = ds[: kstar + 1]
+            path = path[: kstar + 1]
+            u_path = u_path[: kstar + 1]
+            d_path = d_path[: kstar + 1]
             break
 
         steps.append(

@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from exitcert.pwl import bisect_root
 from exitcert.systems import ControlSystem, TargetSet, eval_dynamics
 
 
@@ -27,6 +26,28 @@ class FlowResult:
     @property
     def turns(self) -> Optional[float]:
         return None if self.winding is None else self.winding / (2.0 * np.pi)
+
+
+def bisect_root(fn, lo: float, hi: float) -> float:
+    """A root of fn on [lo, hi], whose ends must bracket zero, to a 1e-12 wide bracket."""
+    flo = fn(lo)
+    if flo == 0.0:
+        return lo
+    fhi = fn(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo < 0) == (fhi < 0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if fmid == 0.0 or mid in (lo, hi):
+            return mid
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def simulate_constant_control(

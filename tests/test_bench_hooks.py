@@ -13,9 +13,10 @@ from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# The Gauss-Seidel sweep was replaced by oracle.jacobi_sweep; re-pointing
-# its hook is a change to the benchmark itself.
-KNOWN_DETACHED = {"exitcert.oracle.gs_sweep"}
+# The Gauss-Seidel sweep was replaced by oracle.jacobi_sweep, and the
+# crossing bisection by pwl.illinois_root; re-pointing their hooks is a
+# change to the benchmark itself.
+KNOWN_DETACHED = {"exitcert.oracle.gs_sweep", "exitcert.synthesis.bisect_root"}
 
 
 def _resolves(module: str, attr: str) -> bool:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from exitcert.pwl import (
     MonotonePL,
-    bisect_root,
+    illinois_root,
     level_max,
     lift_strict,
     lower_strict,
@@ -206,19 +206,51 @@ def test_lower_strict_rejects_zero_at_positive_abscissa():
         lower_strict(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), 0.1)
 
 
-def test_bisect_root_finds_cosine_zero():
-    root = bisect_root(math.cos, 0.0, 3.0)
+def test_illinois_root_finds_cosine_zero():
+    root = illinois_root(math.cos, 0.0, 3.0)
     assert root == pytest.approx(math.pi / 2, abs=1e-10)
 
 
-def test_bisect_root_ftol_returns_matching_endpoint():
+def test_illinois_root_ftol_returns_matching_endpoint():
     fn = lambda t: t - 0.75
-    assert bisect_root(fn, 0.7, 1.0, ftol=0.1) == 0.7
+    assert illinois_root(fn, 0.7, 1.0, ftol=0.1) == 0.7
 
 
-def test_bisect_root_requires_sign_change():
+def test_illinois_root_requires_sign_change():
     with pytest.raises(ValueError, match="no sign change"):
-        bisect_root(lambda t: 1.0 + t * t, 0.0, 1.0)
+        illinois_root(lambda t: 1.0 + t * t, 0.0, 1.0)
+
+
+def test_illinois_root_takes_the_midpoint_when_the_secant_leaves_the_bracket():
+    # f(0) is so small against f(1) that the secant point rounds onto 0
+    evals = []
+
+    def fn(t):
+        evals.append(t)
+        return t - 0.5 if t > 0 else -1e-300
+
+    assert illinois_root(fn, 0.0, 1.0) == 0.5
+    assert evals == [0.0, 1.0, 0.5]
+
+
+def test_illinois_root_does_not_stall_on_a_convex_function():
+    # plain regula falsi keeps t = 1 as an end for good: its bracket stays
+    # about 0.067 wide, so a stop on the bracket width never comes
+    lo, hi, flo, fhi = 0.0, 1.0, -0.5, 0.5
+    for _ in range(200):
+        t = hi - fhi * (hi - lo) / (fhi - flo)
+        lo, flo = t, t**10 - 0.5
+    assert hi - lo > 0.06
+
+    evals = []
+
+    def fn(t):
+        evals.append(t)
+        return t**10 - 0.5
+
+    got = illinois_root(fn, 0.0, 1.0)
+    assert got == pytest.approx(0.5**0.1, abs=1e-12)
+    assert len(evals) <= 25
 
 
 def test_identity():

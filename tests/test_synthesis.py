@@ -1,5 +1,6 @@
 """Leg integration, full synthesis, envelopes and the decay bound."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -165,37 +166,37 @@ def test_single_leg_reaches_its_level(mt):
 
 
 def test_crossing_step_is_integrated_once(mt, monkeypatch):
-    """The crossing is bisected on one final pair of substeps, kept as integrated."""
-    paths = []  # (start state, length, substeps, returned path) per RK4 path
-    bisections = []  # (low end, evaluated lengths, returned length, paths so far)
+    """The crossing is solved on one final pair of substeps, kept as integrated."""
+    paths = []  # (start state, length, substeps, stop level, returned path) per RK4 path
+    solves = []  # (low end, evaluated lengths, returned length, paths so far)
 
-    def rk4(F, z0, length, n):
-        path = rk4_path(F, z0, length, n)
-        paths.append((np.array(z0), length, n, path))
+    def rk4(F, z0, length, n, stop_at=-math.inf):
+        path = rk4_path(F, z0, length, n, stop_at)
+        paths.append((np.array(z0), length, n, stop_at, path))
         return path
 
-    def bisect(fn, lo, hi, **kw):
+    def root_finder(fn, lo, hi, **kw):
         evals = []
 
         def counted(t):
             evals.append(t)
             return fn(t)
 
-        root = bisect_root(counted, lo, hi, **kw)
-        bisections.append((lo, evals, root, len(paths)))
+        root = illinois_root(counted, lo, hi, **kw)
+        solves.append((lo, evals, root, len(paths)))
         return root
 
-    rk4_path, bisect_root = synthesis_mod._rk4_path, synthesis_mod.bisect_root
+    rk4_path, illinois_root = synthesis_mod._rk4_path, synthesis_mod.illinois_root
     monkeypatch.setattr(synthesis_mod, "_rk4_path", rk4)
-    monkeypatch.setattr(synthesis_mod, "bisect_root", bisect)
+    monkeypatch.setattr(synthesis_mod, "illinois_root", root_finder)
     cfg = SynthesisConfig()
     leg = integrate_leg(
         mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
         np.array([1.0]), mu_bar=1.0, mu_hat=0.5, config=cfg, sigma=mt.sigma,
     )
     assert leg.status == TrajectoryStatus.REACHED_LEVEL
-    assert len(bisections) == 1, "the leg should end on one level crossing"
-    lo, evals, root, n_paths = bisections[0]
+    assert len(solves) == 1, "the leg should end on one level crossing"
+    lo, evals, root, n_paths = solves[0]
     st = leg.steps[-1]
     n = len(st.states) - 1
     assert n % 2 == 0, "the crossing step must keep an even substep count"
@@ -205,47 +206,52 @@ def test_crossing_step_is_integrated_once(mt, monkeypatch):
     # every evaluation past node j integrates 2 substeps from node j, once
     pairs = [p for p in paths if p[2] != synthesis_mod.SUBSTEPS]
     assert pairs
-    for z0, _, n_sub, _ in pairs:
+    for z0, _, n_sub, _, _ in pairs:
         assert n_sub == 2
         np.testing.assert_array_equal(z0, st.states[j])
     evaluated = {t for t in evals if t != lo}
     assert sorted(p[1] for p in pairs) == sorted(t - lo for t in evaluated)
 
-    # the kept tail is the pair the bisection returned, not a rerun
-    assert len(paths) == n_paths, "a path was integrated after the bisection"
-    kept = [p[3] for p in pairs if p[1] == root - lo]
+    # the kept tail is the pair the root finder returned, not a rerun
+    assert len(paths) == n_paths, "a path was integrated after the root finder returned"
+    kept = [p[4] for p in pairs if p[1] == root - lo]
     assert len(kept) == 1
     np.testing.assert_array_equal(st.states[j:], kept[0])
-    trial = [p[3] for p in paths if p[2] == synthesis_mod.SUBSTEPS][-1]
+    _, _, _, stop_at, trial = [p for p in paths if p[2] == synthesis_mod.SUBSTEPS][-1]
     np.testing.assert_array_equal(st.states[: j + 1], trial[: j + 1])
     assert st.length == root == st.s[-1]
     assert st.s[j + 1] == lo + 0.5 * (root - lo)
     assert leg.work["crossing_evals"] == len(pairs)
     assert leg.work["rk4_paths"] == len(paths)
-    assert leg.work["rk4_substeps"] == sum(p[2] for p in paths)
+    assert leg.work["rk4_substeps"] == sum(len(p[4]) - 1 for p in paths)
+
+    # the trial path ends one substep past its first node at or below the level
+    assert stop_at == 0.5 + synthesis_mod.LEVEL_TOL_REL * 0.5
+    u_trial = mt.ex.mrf.u_batch(trial)
+    first = int(np.flatnonzero(u_trial <= stop_at)[0])
+    assert len(trial) == first + 2 < synthesis_mod.SUBSTEPS + 1
 
 
 def _start_states(name, rng):
-    """Seeded states in the band of the mt or ring fixture, with a leg level below each."""
+    """Twelve seeded states inside the certified band of the mt or ring fixture."""
     if name == "mt":
-        xs = rng.uniform(0.1, 1.4, size=(12, 1)) * rng.choice([-1.0, 1.0], size=(12, 1))
-    else:
-        rho = rng.uniform(3.42, 3.99, size=12)
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=12)
-        xs = np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=1)
-    return xs
+        return rng.uniform(0.1, 1.4, size=(12, 1)) * rng.choice([-1.0, 1.0], size=(12, 1))
+    rho = rng.uniform(3.42, 3.99, size=12)
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=12)
+    return np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=1)
 
 
 @pytest.mark.parametrize("name", ["mt", "ring"])
 def test_float_rk4_matches_the_array_rk4_bitwise(name, request):
     """The tuple-of-floats field and RK4 round exactly as their 1-d array forms.
 
-    Every state takes the integrator's own trial length, and a level
-    whose half sits above some states, so the cutoff's ramp is
-    exercised too.
+    Every state takes the integrator's own trial length for three exit
+    levels; at 3 U(x) the state sits on the cutoff's ramp.  A path told
+    to stop at the level must be a prefix of the full path.
     """
     ns = request.getfixturevalue(name)
     ex = ns.ex
+    stops = 0
     for x in _start_states(name, np.random.default_rng(7)):
         choice = feedback_select(ex.system, ex.mrf, ns.modulus, x)
         u = ex.mrf.u(x)
@@ -255,12 +261,20 @@ def test_float_rk4_matches_the_array_rk4_bitwise(name, request):
             trial = min(synthesis_mod.DELTA_INIT, mu_hat / 2.0, R / speed)
             args = (ex.system, ex.mrf, ns.modulus, choice.a_index, mu_hat, ns.sigma)
             F, G = synthesis_mod._make_field(*args), array_field(*args)
-            assert F(tuple(x.tolist())) == tuple(G(x).tolist())
+            assert F(tuple(x.tolist())) == (tuple(G(x).tolist()), u)
             for length, n in ((trial, synthesis_mod.SUBSTEPS), (0.3 * trial, 2)):
                 got = synthesis_mod._rk4_path(F, x, length, n)
                 want = array_rk4_path(G, x, length, n)
                 assert got.shape == want.shape == (n + 1, len(x))
                 assert got.tobytes() == want.tobytes()
+                # a path told to stop at mu_hat is the same path, cut one
+                # substep past its first node at or below mu_hat
+                below = np.flatnonzero(ex.mrf.u_batch(want[:-1]) <= mu_hat)
+                m = int(below[0]) + 1 if below.size else n
+                stopped = synthesis_mod._rk4_path(F, x, length, n, mu_hat)
+                assert stopped.tobytes() == want[: m + 1].tobytes()
+                stops += m < n
+    assert stops > 0
 
 
 def _one_step_leg(inv_g_of_s, s):
@@ -317,10 +331,18 @@ def test_crossing_steps_have_even_substep_counts(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["mt_synthesis", "ring_synthesis"])
 def test_work_counters_stay_below_whole_step_bisection(fixture, request):
-    """Tripwire: whole-step crossing bisection integrates over 3,000 substeps here."""
-    rep = request.getfixturevalue(fixture).report()
+    """Tripwire: whole-step crossing bisection integrates over 3,000 substeps here.
+
+    Bisecting the final pair took 15-22 evaluations per crossing and
+    over 1,000 substeps; the Illinois method takes a few.
+    """
+    res = request.getfixturevalue(fixture)
+    rep = res.report()
     work = rep["work"]
-    assert work["rk4_substeps"] <= 1200
+    assert work["rk4_substeps"] <= 800
+    crossings = sum(leg.status == TrajectoryStatus.REACHED_LEVEL for leg in res.legs)
+    assert crossings > 0
+    assert work["crossing_evals"] <= 4 * crossings
     for key in work:
         assert work[key] == sum(leg["work"][key] for leg in rep["legs"])
     assert work["accepted_steps"] == sum(leg["n_steps"] for leg in rep["legs"])
