@@ -10,6 +10,7 @@ one-point form, for the synthesis integrator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -212,10 +213,16 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
             rot = np.stack([Z[:, 1], -Z[:, 0]], axis=1) / (rho - 1.0)[:, None]
         return rot - a[0] * Z
 
+    @functools.lru_cache(maxsize=1)
+    def radius(z0: float, z1: float) -> float:
+        # the integrator evaluates f, l and U at one state in turn: one
+        # np.hypot serves all three
+        return float(np.hypot(z0, z1))
+
     def f_point(z, a):
         # f_batch's arithmetic on Python floats, off the inner circle
         z0, z1 = float(z[0]), float(z[1])
-        c = float(np.hypot(z0, z1)) - 1.0
+        c = radius(z0, z1) - 1.0
         if c == 0.0:
             return f_batch(np.asarray(z, dtype=float)[None], a)[0]
         a0 = float(a[0])
@@ -240,7 +247,7 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         name="spiral",
         state_dim=2,
         dynamics=f_point,
-        lagrangian=lambda z, a: k_const * cost_at(float(np.hypot(z[0], z[1]))),
+        lagrangian=lambda z, a: k_const * cost_at(radius(float(z[0]), float(z[1]))),
         control_set=(np.array([-1.0]), np.array([1.0])),
         batch_dynamics=f_batch,
         batch_lagrangian=lambda Z, a: k_const * cost_shape(np.hypot(Z[:, 0], Z[:, 1])),
@@ -291,7 +298,7 @@ def spiral(epsilon: float = 0.5, k_const: float = 1.0, p0_bar: float = 1.0) -> E
         return out
 
     def u_at(z) -> float:
-        rho = float(np.hypot(z[0], z[1]))
+        rho = radius(float(z[0]), float(z[1]))
         if rho < 2.0:
             return float(u_inner(rho))
         if rho < 3.0:
