@@ -328,8 +328,9 @@ class BandSamples:
 class BandCertificate:
     """Outcome of a sampled band verification.
 
-    ``samples`` keeps the evaluated band for the supersolution check; it
-    is not part of the report.
+    ``samples`` keeps the evaluated band for the supersolution check, and
+    ``envelope_tables`` the distance-envelope tables when they were asked
+    for; neither is part of ``to_dict``.
     """
 
     certified: bool
@@ -347,6 +348,7 @@ class BandCertificate:
     posdef: dict
     notes: list
     samples: BandSamples = field(repr=False, compare=False)
+    envelope_tables: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -470,6 +472,7 @@ def verify_mrf_band(
     grid: GridSpec,
     *,
     margin: float = 0.0,
+    envelope_levels: Optional[np.ndarray] = None,
 ) -> BandCertificate:
     """Sample the band {delta <= U <= sigma} and certify strict H-decrease.
 
@@ -484,6 +487,13 @@ def verify_mrf_band(
     Band membership requires d(x) > D_FLOOR.  The grid is walked in
     blocks of BLOCK_ROWS rows, so memory grows with the band, not the
     grid; the result does not depend on the block size.
+
+    Given envelope_levels (strictly increasing and positive), the same
+    walk records the raw tables of the distance envelopes over the usable
+    samples (U >= 0): ``d_min_above`` = min{d : U >= r} over those off
+    the target and ``d_max_below`` = max{d : U <= r} over all of them,
+    NaN where no sample qualifies, with the counts ``n_usable`` and
+    ``n_off_target``.  ``synthesis.build_sigma_envelopes`` reads them.
     """
     if not 0 < delta < sigma:
         raise ConfigError(f"need 0 < delta < sigma, got delta={delta}, sigma={sigma}")
@@ -505,6 +515,10 @@ def verify_mrf_band(
     min_off = touch = None
     touch_i = n_collar = 0
     posdef_rows, proper_rows, band_rows = [], [], []
+    if envelope_levels is not None:
+        neg_d_min = np.full(len(envelope_levels), np.nan)
+        d_max = np.full(len(envelope_levels), np.nan)
+        n_usable = n_off_target = 0
     for start in range(0, n_grid, BLOCK_ROWS):
         idx = np.arange(start, min(start + BLOCK_ROWS, n_grid))
         X = grid.rows(idx)
@@ -539,6 +553,23 @@ def verify_mrf_band(
 
         band = _in_band(U, D, delta, sigma)
         band_rows.append((idx[band], U[band]))
+
+        if envelope_levels is not None:
+            # Rows are keyed rather than filtered.  Above: rows on the target
+            # get the key -inf and land in bin 0, which no level takes, as do
+            # rows with U < 0, since every level is positive.  Below: rows
+            # with U < 0 get +inf, past every level.  Block tables merge with
+            # fmax, so NaN stays "no sample".  The block's points are freed
+            # first, so that the tables' work fits in the memory they held.
+            del X, idx
+            usable = U >= 0.0
+            off = D > D_FLOOR
+            n_usable += int(np.count_nonzero(usable))
+            n_off_target += int(np.count_nonzero(usable & off))
+            above = level_max(envelope_levels, np.where(off, U, -np.inf), -D, above=True)
+            below = level_max(envelope_levels, np.where(usable, U, np.inf), D, above=False)
+            neg_d_min = np.fmax(neg_d_min, above)
+            d_max = np.fmax(d_max, below)
     if nonfinite is not None:
         raise SingularDynamics(nonfinite, "candidate value non-finite")
 
@@ -655,6 +686,13 @@ def verify_mrf_band(
         posdef=posdef,
         notes=notes,
         samples=samples,
+        envelope_tables=None if envelope_levels is None else {
+            "levels": envelope_levels,
+            "d_min_above": -neg_d_min,
+            "d_max_below": d_max,
+            "n_usable": n_usable,
+            "n_off_target": n_off_target,
+        },
     )
     log.info(
         "band verification of %s on [%g, %g]: %s (worst H %.3g over %d samples)",

@@ -47,6 +47,7 @@ from .synthesis import (
     StepCollapse,
     build_kl_bound,
     build_sigma_envelopes,
+    envelope_levels,
     synthesize,
     verify_kl,
 )
@@ -185,6 +186,8 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             vcfg.sigma,
             grid,
             margin=vcfg.margin,
+            # synthesize rebuilds its distance envelopes from these tables
+            envelope_levels=None if cfg.synthesis is None else envelope_levels(vcfg.sigma),
         )
     except PositiveDefinitenessViolation as exc:
         rejection = {
@@ -268,6 +271,8 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
             "weak_decrease": petrov,
         }
     )
+    if cfg.synthesis is not None:
+        report["envelope_tables"] = cert.envelope_tables if cert is not None else None
     return report
 
 
@@ -393,11 +398,16 @@ def cmd_synthesize(args) -> int:
         log.error("cannot synthesize without a decrease modulus: %s", exc)
         print("synthesize: blocked, no decrease modulus")
         return EXIT_FAILURE
+    tables = verify.get("envelope_tables")
+    if not isinstance(tables, dict):
+        log.error("verify_report.json holds no distance-envelope tables; run 'verify' again")
+        print("synthesize: blocked, no envelope tables (run 'verify' again)")
+        return EXIT_FAILURE
 
     example = get_example(cfg.system.name, **cfg.system.params)
     kl = None
     try:
-        sm, sp = build_sigma_envelopes(example.mrf, example.target, vcfg.sigma, vcfg.grid)
+        sm, sp = build_sigma_envelopes(tables, vcfg.sigma, vcfg.grid.spacing, vcfg.grid.dim)
         kl = build_kl_bound(sm, sp, modulus, scfg.epsilon)
         kl_block = {"bound": kl.to_dict(), "axioms": kl.validate_axioms()}
     except ValueError as exc:

@@ -381,7 +381,7 @@ def _spiral_oracle_pin(k_const: float):
 
 
 # ----------------------------------------------------------------------
-# weak directional decrease demo (minimum time on the line)
+# decrease-rate profiles of the weak directional decrease check
 
 
 _MU_PROFILES: dict = {
@@ -390,47 +390,6 @@ _MU_PROFILES: dict = {
     "constant": lambda r: np.ones_like(r, dtype=float),
 }
 
-# closed-form gauges phi(r) = integral of 1/mu over [0, r], where finite
-_GAUGES: dict = {
-    "sqrt": lambda r: np.where(r <= 1.0, 2.0 * np.sqrt(r), 2.0 + (r - 1.0)),
-    "constant": lambda r: r,
-}
-
-
-def petrov_demo(profile: str = "sqrt", delta: float = 1.0, p0_bar: float = 0.5) -> ExampleSpec:
-    """Minimum time on the line with a named decrease-rate profile.
-
-    The 'sqrt' profile has an integrable reciprocal and yields the gauge
-    2*sqrt(r); 'constant' is the classical case (gauge r); 'linear' has
-    a log-divergent gauge and exists to exercise the failure path.  The
-    candidate is the gauge of the distance, phi(|x|), whose gradient is
-    sign(x) / mu(|x|).
-    """
-    if profile not in _MU_PROFILES:
-        raise ConfigError(f"unknown mu profile {profile!r}; choose from {sorted(_MU_PROFILES)}")
-    mu = _MU_PROFILES[profile]
-
-    base = minimum_time_1d(p0_bar=p0_bar)
-
-    mrf: Optional[CandidateMrf] = None
-    gauge = _GAUGES.get(profile)
-    if gauge is not None:
-        mrf = CandidateMrf(
-            name=f"petrov_gauge_{profile}",
-            value=lambda x: float(gauge(abs(float(x[0])))),
-            batch_value=lambda X: gauge(np.abs(X[:, 0])),
-            p0_bar=p0_bar,
-            smooth_pieces=_two_sided_pieces(gauge, lambda rho: 1.0 / mu(rho)),
-        )
-
-    return ExampleSpec(
-        name="petrov_demo",
-        params={"profile": profile, "delta": delta, "p0_bar": p0_bar},
-        system=base.system,
-        target=base.target,
-        mrf=mrf,
-    )
-
 
 # ----------------------------------------------------------------------
 
@@ -438,7 +397,6 @@ EXAMPLES: dict = {
     "minimum_time_1d": minimum_time_1d,
     "power_law": power_law,
     "spiral": spiral,
-    "petrov_demo": petrov_demo,
 }
 
 

@@ -18,10 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import certificates
-from .certificates import D_FLOOR, CandidateMrf, DecreaseModulus, GridSpec
+from .certificates import CandidateMrf, DecreaseModulus
 from .pwl import (
-    MonotonePL, illinois_root, level_max, lift_strict, lower_strict, pwl_min, sorted_unique,
+    MonotonePL, illinois_root, lift_strict, lower_strict, pwl_min, sorted_unique,
 )
 from .systems import (
     ConfigError,
@@ -52,6 +51,7 @@ __all__ = [
     "reparam_to_time",
     "SynthesisResult",
     "synthesize",
+    "envelope_levels",
     "build_sigma_envelopes",
     "KLBound",
     "build_kl_bound",
@@ -278,7 +278,7 @@ class LegTimes:
     residual_max: float      # worst relative ODE residual of the t-parameterized path
 
 
-# build_sigma_envelopes' linear ladder has this many levels from 0 to sigma
+# envelope_levels' linear ladder has this many levels from 0 to sigma
 ENVELOPE_KNOTS = 33
 
 # verify_kl passes a node whose distance exceeds the decay bound by at most this
@@ -823,13 +823,26 @@ def synthesize(
 # distance envelopes
 
 
+def envelope_levels(sigma: float) -> np.ndarray:
+    """The distance envelopes' knot levels: a linear ladder plus geometric refinement near 0."""
+    return sorted_unique(
+        np.concatenate(
+            [np.linspace(0.0, sigma, ENVELOPE_KNOTS)[1:], sigma * 0.5 ** np.arange(1, 21)]
+        )
+    )
+
+
 def build_sigma_envelopes(
-    mrf: CandidateMrf,
-    target: TargetSet,
+    tables: dict,
     sigma: float,
-    grid,
+    spacing: float,
+    dim: int,
 ) -> tuple[MonotonePL, MonotonePL]:
-    """Sampled monotone envelopes squeezing d between functions of U.
+    """Monotone envelopes squeezing d between functions of U, from sampled level tables.
+
+    ``tables`` is what ``verify_mrf_band`` records on its grid for
+    ``envelope_levels(sigma)``, as it stands or read back from JSON
+    (where a NaN, "no sample", is ``None``).
 
     sigma_minus(r) under-approximates min{d(z) : U(z) >= r} and
     sigma_plus(r) over-approximates max{d(z) : U(z) <= r}.  Knot values
@@ -846,43 +859,21 @@ def build_sigma_envelopes(
     raw minimum sits below any useful margin, and deflating it further
     would break the sandwich rather than strengthen it.
     """
-    if not isinstance(grid, GridSpec):
-        raise ConfigError("grid must be a GridSpec")
     # a cell diagonal times (1 + L), with d 1-Lipschitz and L = 1 taken for
     # U whatever the candidate; the pinned synthesis artifacts rest on it
-    margin = grid.spacing * np.sqrt(grid.dim) * (1.0 + 1.0)
+    margin = spacing * np.sqrt(dim) * (1.0 + 1.0)
 
-    # knot levels: linear ladder plus geometric refinement near 0
-    levels = sorted_unique(
-        np.concatenate(
-            [np.linspace(0.0, sigma, ENVELOPE_KNOTS)[1:], sigma * 0.5 ** np.arange(1, 21)]
-        )
+    levels = envelope_levels(sigma)
+    stored, sm_raw, sp_raw = (
+        np.asarray(tables.get(key), dtype=float)
+        for key in ("levels", "d_min_above", "d_max_below")
     )
-
-    # lower envelope from samples strictly off the target, upper from every
-    # usable sample (U finite and >= 0).  The grid is walked in blocks of
-    # certificates.BLOCK_ROWS rows; per-block level maxima merge exactly
-    # with fmax, and NaN stays "no sample".
-    neg_sm = np.full(len(levels), np.nan)
-    sp_raw = np.full(len(levels), np.nan)
-    n_usable = n_off = 0
-    n_grid = grid.n_points
-    for start in range(0, n_grid, certificates.BLOCK_ROWS):
-        X = grid.rows(np.arange(start, min(start + certificates.BLOCK_ROWS, n_grid)))
-        U = mrf.u_batch(X)
-        D = target.d_many(X)
-        keep = np.isfinite(U) & (U >= 0.0)
-        U, D = U[keep], D[keep]
-        pos = D > D_FLOOR
-        n_usable += U.size
-        n_off += int(np.count_nonzero(pos))
-        neg_sm = np.fmax(neg_sm, level_max(levels, U[pos], -D[pos], above=True))
-        sp_raw = np.fmax(sp_raw, level_max(levels, U, D, above=False))
-    if n_usable == 0:
+    if not (np.array_equal(stored, levels) and sm_raw.shape == sp_raw.shape == levels.shape):
+        raise ConfigError("the envelope tables were not built on the levels of this sigma")
+    if not tables.get("n_usable"):
         raise ConfigError("no usable samples: U is negative or undefined on the whole grid")
-    if n_off == 0:
+    if not tables.get("n_off_target"):
         raise ConfigError("no samples off the target; enlarge the grid")
-    sm_raw = -neg_sm
 
     # ---- sigma_minus: lag by one knot, cap at the identity, strictify down
     xs_m, ys_m = [0.0], [0.0]

@@ -16,6 +16,7 @@ from exitcert.synthesis import (
     SynthesisConfig,
     build_kl_bound,
     build_sigma_envelopes,
+    envelope_levels,
     synthesize,
 )
 
@@ -25,7 +26,8 @@ def mt():
     """1-d minimum time, certified on [0.05, 1.5] with p0_bar = 0.9."""
     ex = minimum_time_1d(p0_bar=0.9)
     grid = GridSpec(np.array([-2.0]), np.array([2.0]), 0.01)
-    cert = verify_mrf_band(ex.system, ex.target, ex.mrf, 0.05, 1.5, grid)
+    cert = verify_mrf_band(ex.system, ex.target, ex.mrf, 0.05, 1.5, grid,
+                           envelope_levels=envelope_levels(1.5))
     assert cert.certified, "fixture expects a certifiable instance"
     modulus = build_decrease_modulus(cert.m_hat_samples)
     return SimpleNamespace(
@@ -44,7 +46,8 @@ def mt_synthesis(mt):
 
 @pytest.fixture(scope="session")
 def mt_kl(mt):
-    sm, sp = build_sigma_envelopes(mt.ex.mrf, mt.ex.target, mt.sigma, mt.grid)
+    sm, sp = build_sigma_envelopes(mt.cert.envelope_tables, mt.sigma, mt.grid.spacing,
+                                   mt.grid.dim)
     kl = build_kl_bound(sm, sp, mt.modulus, epsilon=0.1)
     return SimpleNamespace(sigma_minus=sm, sigma_plus=sp, kl=kl)
 
@@ -54,7 +57,8 @@ def ring():
     """Planar spiral with a thin certified band hugging the outer circle."""
     ex = spiral(epsilon=0.01)
     grid = GridSpec(np.array([-4.1, -4.1]), np.array([4.1, 4.1]), 0.02)
-    cert = verify_mrf_band(ex.system, ex.target, ex.mrf, 1e-6, 6e-3, grid)
+    cert = verify_mrf_band(ex.system, ex.target, ex.mrf, 1e-6, 6e-3, grid,
+                           envelope_levels=envelope_levels(6e-3))
     assert cert.certified, "fixture expects a certifiable instance"
     modulus = build_decrease_modulus(cert.m_hat_samples)
     return SimpleNamespace(
@@ -73,6 +77,7 @@ def ring_synthesis(ring):
 
 @pytest.fixture(scope="session")
 def ring_kl(ring):
-    sm, sp = build_sigma_envelopes(ring.ex.mrf, ring.ex.target, ring.sigma, ring.grid)
+    sm, sp = build_sigma_envelopes(ring.cert.envelope_tables, ring.sigma, ring.grid.spacing,
+                                   ring.grid.dim)
     kl = build_kl_bound(sm, sp, ring.modulus, epsilon=0.01)
     return SimpleNamespace(sigma_minus=sm, sigma_plus=sp, kl=kl)

@@ -22,8 +22,8 @@ from exitcert.certificates import (
     verify_mrf_band,
 )
 from exitcert.config import as_plain
-from exitcert.library import _MU_PROFILES, minimum_time_1d, petrov_demo, power_law, spiral
-from exitcert.pwl import MonotonePL
+from exitcert.library import _MU_PROFILES, _two_sided_pieces, minimum_time_1d, power_law, spiral
+from exitcert.pwl import MonotonePL, level_max
 from exitcert.systems import ConfigError, NegativeLagrangian, SingularDynamics
 
 
@@ -213,10 +213,46 @@ def test_band_certificate_does_not_depend_on_the_block_size(
 ):
     ns = request.getfixturevalue(bundle)  # certified with the default BLOCK_ROWS
     monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
-    cert = verify_mrf_band(ns.ex.system, ns.ex.target, ns.ex.mrf, ns.delta, ns.sigma, ns.grid)
+    cert = verify_mrf_band(ns.ex.system, ns.ex.target, ns.ex.mrf, ns.delta, ns.sigma, ns.grid,
+                           envelope_levels=ns.cert.envelope_tables["levels"])
     assert json.dumps(cert.to_dict()) == json.dumps(ns.cert.to_dict())
+    assert json.dumps(as_plain(cert.envelope_tables)) == json.dumps(as_plain(ns.cert.envelope_tables))
     for got, want in zip(_band_arrays(cert.samples), _band_arrays(ns.cert.samples), strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "shift, lower",
+    [
+        (-0.005, -2.0005),  # U < 0 at x = -0.0005 and 0.0095, off the target
+        (0.01, -2.0),  # U = 0.01 > 0 on the target, at x = 0
+    ],
+    ids=["negative_u_off_target", "positive_u_on_target"],
+)
+def test_envelope_tables_key_out_the_rows_that_do_not_count(mt, monkeypatch, shift, lower):
+    """Verify's keyed tables equal level maxima over the filtered whole grid, in 7-row blocks."""
+    mrf = replace(
+        mt.ex.mrf,
+        batch_value=lambda X: np.abs(X[:, 0]) + shift,
+        smooth_pieces=_two_sided_pieces(lambda rho: rho + shift, np.ones_like),
+    )
+    grid = GridSpec(np.array([lower]), np.array([2.0]), 0.01)
+    levels = mt.cert.envelope_tables["levels"]
+    X = grid.points()
+    U, D = mrf.u_batch(X), mt.ex.target.d_many(X)
+    usable = U >= 0.0
+    off = usable & (D > certificates.D_FLOOR)
+    assert np.any((U < 0.0) & (D > certificates.D_FLOOR)) or np.any(~off & usable)
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", 7)
+    got = verify_mrf_band(mt.ex.system, mt.ex.target, mrf, mt.delta, mt.sigma, grid,
+                          envelope_levels=levels).envelope_tables
+    want = {
+        "d_min_above": -level_max(levels, U[off], -D[off], above=True),
+        "d_max_below": level_max(levels, U[usable], D[usable], above=False),
+    }
+    for key, table in want.items():
+        assert np.array_equal(got[key], table, equal_nan=True), key
+    assert (got["n_usable"], got["n_off_target"]) == (usable.sum(), off.sum())
 
 
 @pytest.mark.parametrize("block_rows", [7, 97, 1000])
@@ -583,7 +619,7 @@ def _petrov_points():
 
 
 def test_petrov_sqrt_profile_builds_the_root_gauge():
-    ex = petrov_demo("sqrt")
+    ex = minimum_time_1d()
     rep = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points()
     )
@@ -609,7 +645,7 @@ def test_petrov_sqrt_profile_builds_the_root_gauge():
 
 
 def test_petrov_constant_profile_gauge_is_identity():
-    ex = petrov_demo("constant")
+    ex = minimum_time_1d()
     rep = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["constant"], 1.0, _petrov_points()
     )
@@ -623,7 +659,7 @@ def test_petrov_constant_profile_gauge_is_identity():
 def test_petrov_gauge_quadrature_matches_closed_form(delta):
     # at delta = 1.5 mu = min(sqrt(r), 1) has its kink at r = 1 inside the
     # top decade, where one fixed rule is off by about 1e-5
-    ex = petrov_demo("sqrt")
+    ex = minimum_time_1d()
     rep = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["sqrt"], delta, _petrov_points()
     )
@@ -656,13 +692,13 @@ def _root_rate_with_gap(r):
     ids=["pole", "gap"],
 )
 def test_petrov_unresolved_reciprocal_raises(mu, message):
-    ex = petrov_demo("sqrt")
+    ex = minimum_time_1d()
     with pytest.raises(IntegrabilityError, match=message):
         check_weak_petrov(ex.system, ex.target, mu, 1.0, _petrov_points())
 
 
 def test_petrov_linear_profile_diverges():
-    ex = petrov_demo("linear")
+    ex = minimum_time_1d()
     with pytest.raises(IntegrabilityError) as exc:
         check_weak_petrov(
             ex.system, ex.target, _MU_PROFILES["linear"], 1.0, _petrov_points()
@@ -673,7 +709,7 @@ def test_petrov_linear_profile_diverges():
 
 
 def test_petrov_checks_unit_cost_on_every_sample():
-    ex = petrov_demo("sqrt")
+    ex = minimum_time_1d()
 
     def cost(X):
         # 1 everywhere but on 0.4 < |x| < 0.6, which holds no end or middle sample
@@ -691,7 +727,7 @@ def test_petrov_checks_unit_cost_on_every_sample():
 @pytest.mark.parametrize("max_records", [32, 5])
 def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
     monkeypatch.setattr(certificates, "MAX_RECORDS", max_records)
-    ex = petrov_demo("sqrt")
+    ex = minimum_time_1d()
     # at speed 1/4 both checks fail wherever sqrt(d) > 1/4
     slow = replace(
         ex.system,
@@ -722,7 +758,7 @@ def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
 
 
 def test_petrov_induced_candidate_certifies():
-    ex = petrov_demo("sqrt")
+    ex = minimum_time_1d()
     rep = check_weak_petrov(
         ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points()
     )

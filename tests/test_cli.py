@@ -75,11 +75,11 @@ synthesis:
   initial_states: [[0.5]]
 """
 
-# the gauge 2*sqrt(|x|) of the sqrt decrease profile, as a candidate
+# U = 2*sqrt(|x|), the gauge of the sqrt decrease profile, as a candidate
 PETROV_CFG = """\
 system:
-  name: petrov_demo
-  params: {profile: sqrt}
+  name: power_law
+  params: {r: 0.0, s: -0.5, p0_bar: 0.5}
 verify:
   delta: 0.05
   sigma: 1.5
@@ -478,7 +478,9 @@ def test_uncertified_blocks_synthesis_until_forced(tmp_path, capsys):
     assert "blocked" in capsys.readouterr().out
     assert not (out / "synthesis_report.json").exists()
 
-    # margins are still positive, so --force can run against the table
+    # margins are still positive, so --force can run against the table,
+    # and the uncertified band still carries the envelope tables
+    assert json.loads((out / "verify_report.json").read_text())["envelope_tables"]["n_usable"] > 0
     assert main(["synthesize", "-c", cfg, "-o", str(out), "--force"]) == 0
     rep = json.loads((out / "synthesis_report.json").read_text())
     assert rep["forced"] is True
@@ -587,6 +589,36 @@ def test_synthesize_blocks_on_a_missing_margin(tmp_path, capsys):
     capsys.readouterr()
     assert main(["synthesize", "-c", cfg, "-o", str(out), "--force"]) == 1
     assert "no decrease modulus" in capsys.readouterr().out
+
+
+def test_synthesize_blocks_on_missing_envelope_tables(tmp_path, capsys, caplog):
+    cfg, out = _verified(tmp_path)
+    _edit_verify_report(out, lambda rep: rep.pop("envelope_tables"))
+    capsys.readouterr()
+    for extra in ([], ["--force"]):
+        assert main(["synthesize", "-c", cfg, "-o", str(out), *extra]) == 1
+        assert "blocked, no envelope tables" in capsys.readouterr().out
+    assert "holds no distance-envelope tables" in caplog.text
+    assert not (out / "synthesis_report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["minimum_time", "spiral_ring"])
+def test_synthesize_walks_no_grid(tmp_path, monkeypatch, name):
+    """Synthesize builds its envelopes from verify's tables, not from the verify grid."""
+    cfg = str(CONFIGS / f"{name}.yaml")
+    runs = {}
+    for walk in ("allowed", "refused"):
+        out = tmp_path / walk
+        assert main(["verify", "-c", cfg, "-o", str(out)]) == 0
+        if walk == "refused":
+            def refuse(*args, **kwargs):
+                raise AssertionError("synthesize walked the grid")
+
+            monkeypatch.setattr(GridSpec, "rows", refuse)
+            monkeypatch.setattr(GridSpec, "points", refuse)
+        assert main(["synthesize", "-c", cfg, "-o", str(out)]) == 0
+        runs[walk] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["refused"] == runs["allowed"]
 
 
 def test_unreadable_stage_report_exits_2(tmp_path, mt_cfg):

@@ -1,8 +1,10 @@
-"""Every run-config key is set by a bundled config or kept for a stated reason.
+"""Every run-config key and every example is used by a bundled config or kept for a reason.
 
 A key that no file in ``configs/`` sets has one value in use, its default,
 and so is a constant in disguise.  Such a key stays only with a reason in
-``UNSET_BY_CONFIGS``; any other one fails here, naming the key.
+``UNSET_BY_CONFIGS``; any other one fails here, naming the key.  Likewise
+an example in ``library.EXAMPLES`` that no config names stays only with a
+reason in ``UNNAMED_BY_CONFIGS``.
 """
 
 import typing
@@ -12,6 +14,7 @@ from pathlib import Path
 import yaml
 
 from exitcert.config import RunConfig
+from exitcert.library import EXAMPLES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -24,6 +27,13 @@ UNSET_BY_CONFIGS = {
     "oracle.oracle_tol": "the oracle's tolerance, which ROADMAP item 9 measures",
     "petrov.p0_bar": "the p0_bar of the weak-decrease check, a number the paper's runs choose",
 }
+
+# example name -> why it stays although no bundled config names it
+UNNAMED_BY_CONFIGS: dict = {}
+
+
+def _configs() -> list:
+    return [yaml.safe_load(p.read_text()) for p in sorted(CONFIGS.glob("*.yaml"))]
 
 
 def _leaf_keys(cls, prefix: str = "") -> list:
@@ -52,12 +62,20 @@ def _set_keys(tree: dict, prefix: str = "") -> set:
 
 def test_every_key_is_set_by_a_config_or_allowlisted():
     keys = _leaf_keys(RunConfig)
-    set_by_configs = set().union(
-        *(_set_keys(yaml.safe_load(p.read_text())) for p in sorted(CONFIGS.glob("*.yaml")))
-    )
+    set_by_configs = set().union(*(_set_keys(tree) for tree in _configs()))
     unset = [k for k in keys if k not in set_by_configs]
     assert sorted(unset) == sorted(UNSET_BY_CONFIGS), (
         "keys no bundled config sets, beyond the allowlist: "
         f"{sorted(set(unset) - set(UNSET_BY_CONFIGS))}; allowlisted but set or gone: "
         f"{sorted(set(UNSET_BY_CONFIGS) - set(unset))}"
+    )
+
+
+def test_every_example_is_named_by_a_config_or_allowlisted():
+    named = {tree["system"]["name"] for tree in _configs()}
+    unnamed = [name for name in EXAMPLES if name not in named]
+    assert sorted(unnamed) == sorted(UNNAMED_BY_CONFIGS), (
+        f"examples no bundled config names, beyond the allowlist: "
+        f"{sorted(set(unnamed) - set(UNNAMED_BY_CONFIGS))}; allowlisted but named or gone: "
+        f"{sorted(set(UNNAMED_BY_CONFIGS) - set(unnamed))}"
     )

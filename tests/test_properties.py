@@ -219,7 +219,6 @@ POINT_FORM_EXAMPLES = [
     pytest.param("power_law", {"r": 0.0, "s": -1.0}, id="power_law-r0-s-1"),
     pytest.param("power_law", {"r": 0.5, "s": 1.5, "m1": 2.0, "m2": 0.7}, id="power_law-r0.5-s1.5"),
     pytest.param("power_law", {"r": -0.3, "s": 0.25}, id="power_law-r-0.3-s0.25"),
-    pytest.param("petrov_demo", {"profile": "sqrt"}, id="petrov_demo-sqrt"),
     pytest.param("spiral", {"epsilon": 0.5}, id="spiral-eps0.5"),
     pytest.param("spiral", {"epsilon": 0.01, "k_const": 0.6}, id="spiral-eps0.01-k0.6"),
 ]

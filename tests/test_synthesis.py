@@ -1,16 +1,23 @@
 """Leg integration, full synthesis, envelopes and the decay bound."""
 
+import json
 import math
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import exitcert.certificates as certificates
 import exitcert.synthesis as synthesis_mod
-from exitcert.certificates import D_FLOOR, DecreaseModulus, build_decrease_modulus
+from exitcert.certificates import (
+    D_FLOOR,
+    DecreaseModulus,
+    GridSpec,
+    build_decrease_modulus,
+    verify_mrf_band,
+)
 from exitcert.config import as_plain, load_config
 from exitcert.library import get_example, power_law
 from exitcert.pwl import MonotonePL
@@ -23,6 +30,7 @@ from exitcert.synthesis import (
     SynthesisConfig,
     build_kl_bound,
     build_sigma_envelopes,
+    envelope_levels,
     feedback_select,
     integrate_leg,
     reparam_to_time,
@@ -506,7 +514,9 @@ def test_envelopes_sandwich_between_grid_points(name):
     cfg = load_config(CONFIGS / f"{name}.yaml")
     ex = get_example(cfg.system.name, **cfg.system.params)
     box = cfg.verify.grid
-    sm, sp = build_sigma_envelopes(ex.mrf, ex.target, cfg.verify.sigma, box)
+    cert = verify_mrf_band(ex.system, ex.target, ex.mrf, cfg.verify.delta, cfg.verify.sigma, box,
+                           envelope_levels=envelope_levels(cfg.verify.sigma))
+    sm, sp = build_sigma_envelopes(cert.envelope_tables, cfg.verify.sigma, box.spacing, box.dim)
     X = np.random.default_rng(20121).uniform(box.lower, box.upper, size=(200_000, box.dim))
     U = ex.mrf.u_batch(X)
     D = ex.target.d_many(X)
@@ -524,78 +534,39 @@ def _same_envelopes(got, want):
     )
 
 
-# 7-row blocks on the ring grid's 168,921 points take seconds, so the
-# smallest blocks run on the 1-d grid only.
-@pytest.mark.parametrize(
-    "bundle, block_rows",
-    [("mt", 7), ("mt", 97), ("mt", 1000), ("ring", 97), ("ring", 1000)],
-)
-def test_envelopes_do_not_depend_on_the_block_size(request, monkeypatch, bundle, block_rows):
-    ns = request.getfixturevalue(bundle)
-    kl_ns = request.getfixturevalue(f"{bundle}_kl")  # built with the default BLOCK_ROWS
-    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
-    got = build_sigma_envelopes(ns.ex.mrf, ns.ex.target, ns.sigma, ns.grid)
-    assert _same_envelopes(got, (kl_ns.sigma_minus, kl_ns.sigma_plus))
+def _rebuild(tables, ns):
+    return build_sigma_envelopes(tables, ns.sigma, ns.grid.spacing, ns.grid.dim)
 
 
-def _split(early, late):
-    """`early(x)` below x = 1.9 and `late(x)` from there on (the last blocks)."""
-    return lambda X: np.where(X[:, 0] < 1.9, early(X[:, 0]), late(X[:, 0]))
+def test_null_levels_read_back_as_nan(mt):
+    """Tables read back from JSON, where NaN is null, rebuild the envelopes they were written from.
 
-
-def _const(c):
-    return lambda x: np.full(len(x), c)
-
-
-@pytest.mark.parametrize(
-    "u, d, message",
-    [
-        # U undefined early and negative late: rows lie off the target,
-        # but none is usable
-        (_split(_const(np.nan), _const(-1.0)), _split(np.abs, np.abs), "no usable samples"),
-        # usable U only in the last blocks, which lie on the target
-        (_split(_const(-1.0), np.abs), _split(np.abs, _const(0.0)),
-         "no samples off the target"),
-        # off-target rows only in the last blocks: enough for both envelopes
-        (_split(np.abs, np.abs), _split(_const(0.0), np.abs), None),
-    ],
-    ids=["no_usable", "usable_rows_on_target", "off_target_rows_late"],
-)
-@pytest.mark.parametrize("block_rows", [certificates.BLOCK_ROWS, 7])
-def test_envelope_errors_wait_for_the_whole_grid(mt, monkeypatch, u, d, message, block_rows):
-    """"No usable samples" comes before "no samples off the target", whatever the blocks."""
-    mrf = replace(mt.ex.mrf, batch_value=u)
-    target = replace(mt.ex.target, batch_distance=d)
-    if message is None:
-        want = build_sigma_envelopes(mrf, target, mt.sigma, mt.grid)  # one block
-        monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
-        assert _same_envelopes(build_sigma_envelopes(mrf, target, mt.sigma, mt.grid), want)
-        return
-    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
-    with pytest.raises(ConfigError, match=message):
-        build_sigma_envelopes(mrf, target, mt.sigma, mt.grid)
-
-
-def test_envelope_memory_follows_the_block_not_the_grid(ring):
-    """Traced peak of the envelopes on the ring grid: one block's work.
-
-    The grid has 168,921 points, about 2.6 blocks.  A block is allowed
-    sixteen float64 values per row (8 MiB at the default BLOCK_ROWS).
-    With numpy 2.4 the blocked walk peaks at 5.3 MiB, and evaluating the
-    whole grid at once at 9.0 MiB.
+    On [-1, 1], U <= 1, so the levels of envelope_levels(1.5) above 1
+    hold no sample off the target.
     """
-    tracemalloc.start()
-    try:
-        build_sigma_envelopes(ring.ex.mrf, ring.ex.target, ring.sigma, ring.grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 8 * certificates.BLOCK_ROWS
+    grid = GridSpec(np.array([-1.0]), np.array([1.0]), 0.01)
+    ns = SimpleNamespace(sigma=mt.sigma, grid=grid)
+    tables = verify_mrf_band(mt.ex.system, mt.ex.target, mt.ex.mrf, mt.delta, mt.sigma, grid,
+                             envelope_levels=envelope_levels(mt.sigma)).envelope_tables
+    read = json.loads(json.dumps(as_plain(tables), allow_nan=False))
+    assert np.isnan(tables["d_min_above"]).sum() == read["d_min_above"].count(None) > 0
+    assert _same_envelopes(_rebuild(read, ns), _rebuild(tables, ns))
 
 
-def test_envelope_requires_gridspec(mt):
-    with pytest.raises(ConfigError):
-        build_sigma_envelopes(mt.ex.mrf, mt.ex.target, mt.sigma, "not a grid")
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"n_usable": 0, "n_off_target": 0}, "no usable samples"),
+        ({"n_off_target": 0}, "no samples off the target"),
+        ({"levels": [0.1, 0.2]}, "not built on the levels of this sigma"),
+        ({"d_max_below": [1.0]}, "not built on the levels of this sigma"),
+    ],
+    ids=["no_usable", "usable_rows_on_target", "other_levels", "short_table"],
+)
+def test_envelope_tables_that_cannot_hold_envelopes_are_refused(mt, counts, message):
+    """"No usable samples" comes before "no samples off the target"."""
+    with pytest.raises(ConfigError, match=message):
+        _rebuild({**mt.cert.envelope_tables, **counts}, mt)
 
 
 # ----------------------------------------------------------------------
