@@ -558,15 +558,45 @@ def test_null_levels_read_back_as_nan(mt):
     [
         ({"n_usable": 0, "n_off_target": 0}, "no usable samples"),
         ({"n_off_target": 0}, "no samples off the target"),
-        ({"levels": [0.1, 0.2]}, "not built on the levels of this sigma"),
-        ({"d_max_below": [1.0]}, "not built on the levels of this sigma"),
+        ({}, None),
     ],
-    ids=["no_usable", "usable_rows_on_target", "other_levels", "short_table"],
+    ids=["no_usable", "usable_rows_on_target", "off_target_rows_late"],
 )
-def test_envelope_tables_that_cannot_hold_envelopes_are_refused(mt, counts, message):
-    """"No usable samples" comes before "no samples off the target"."""
+@pytest.mark.parametrize("block_rows", [certificates.BLOCK_ROWS, 7])
+def test_envelope_errors_wait_for_the_whole_grid(mt, monkeypatch, counts, message, block_rows):
+    """The errors read verify's counts, summed over every block, whatever the blocks.
+
+    Only the rows from x = 1 on lie off the target, so with 7-row blocks
+    every early block has none, and the last blocks hold them all.
+    "No usable samples" comes before "no samples off the target".
+    """
+    target = replace(mt.ex.target, batch_distance=lambda X: np.where(X[:, 0] < 1.0, 0.0, X[:, 0]))
+
+    def tables():
+        return verify_mrf_band(mt.ex.system, target, mt.ex.mrf, mt.delta, mt.sigma, mt.grid,
+                               envelope_levels=envelope_levels(mt.sigma)).envelope_tables
+
+    whole = tables()  # one block
+    monkeypatch.setattr(certificates, "BLOCK_ROWS", block_rows)
+    got = tables()
+    assert got["n_usable"] == whole["n_usable"] == mt.grid.n_points
+    assert got["n_off_target"] == whole["n_off_target"] == np.count_nonzero(
+        mt.grid.rows(np.arange(mt.grid.n_points))[:, 0] >= 1.0) > 7
+    if message is None:
+        assert _same_envelopes(_rebuild(got, mt), _rebuild(whole, mt))
+        return
     with pytest.raises(ConfigError, match=message):
-        _rebuild({**mt.cert.envelope_tables, **counts}, mt)
+        _rebuild({**got, **counts}, mt)
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [{"levels": [0.1, 0.2]}, {"d_max_below": [1.0]}],
+    ids=["other_levels", "short_table"],
+)
+def test_envelope_tables_that_cannot_hold_envelopes_are_refused(mt, tables):
+    with pytest.raises(ConfigError, match="not built on the levels of this sigma"):
+        _rebuild({**mt.cert.envelope_tables, **tables}, mt)
 
 
 # ----------------------------------------------------------------------
