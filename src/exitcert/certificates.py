@@ -38,6 +38,7 @@ __all__ = [
     "check_supersolution",
     "IntegrabilityError",
     "check_weak_petrov",
+    "sqrt_rate",
 ]
 
 # A sample counts as off the target only where d(x) > D_FLOOR: a grid
@@ -787,6 +788,16 @@ _GL_DEPTH = 50
 PETROV_DECADES = 12
 PETROV_TOL = 1e-9
 
+# verify's weak-decrease check: the rate sqrt_rate on 0 < d < PETROV_DELTA,
+# and the composed candidate's p0_bar
+PETROV_DELTA = 1.0
+PETROV_P0_BAR = 0.5
+
+
+def sqrt_rate(r: np.ndarray) -> np.ndarray:
+    """The decrease rate min(sqrt(r), 1); its gauge is 2 sqrt(r) below r = 1."""
+    return np.minimum(np.sqrt(np.maximum(r, 0.0)), 1.0)
+
 
 @functools.cache
 def _gauss_legendre() -> tuple:
@@ -837,15 +848,13 @@ def check_weak_petrov(
     mu: Callable[[np.ndarray], np.ndarray],
     delta: float,
     points: np.ndarray,
-    *,
-    p0_bar: float = 0.5,
 ) -> dict:
     """Check the directional decrease of d and build the induced gauge.
 
     For minimum-time problems (l identically 1) with a rate mu whose
     reciprocal is integrable at 0: checks min_a <p, f(x,a)> <= -mu(d(x))
     for the limiting gradients p of the distance at sample points with
-    0 < d < delta, and the Hamiltonian margin -(1 - p0_bar) of the
+    0 < d < delta, and the Hamiltonian margin -(1 - PETROV_P0_BAR) of the
     composed candidate phi(d(.)) at the same points, where the gauge
     phi(r) is the integral of 1/mu built by quadrature over
     PETROV_DECADES decades.  mu maps an array of radii to an array of
@@ -861,8 +870,6 @@ def check_weak_petrov(
     """
     if delta <= 0:
         raise ConfigError("delta must be positive")
-    if not 0.0 <= p0_bar < 1.0:
-        raise ConfigError("the induced candidate needs p0_bar in [0, 1)")
     if target.distance_gradients is None:
         raise ConfigError("target must provide distance gradients")
 
@@ -939,7 +946,7 @@ def check_weak_petrov(
         Qmu = Q / mu_q[:, None]
         # with p0 = 0 the Hamiltonian is min_a <q, f(x, a)>
         slack = hamiltonian(system, Xq, 0.0, Q) + mu_q
-        h_marg = hamiltonian(system, Xq, p0_bar, Qmu) + (1.0 - p0_bar)
+        h_marg = hamiltonian(system, Xq, PETROV_P0_BAR, Qmu) + (1.0 - PETROV_P0_BAR)
         worst_slack = float(np.max(slack))
         worst_h = float(np.max(h_marg))
         for j in np.flatnonzero((slack > PETROV_TOL) | (h_marg > PETROV_TOL)):

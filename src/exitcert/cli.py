@@ -11,8 +11,11 @@ Exit codes: 0 success, 1 certificate or invariant failure, 2 config
 error, 3 numerical non-convergence.  Reports are deterministic given
 the config and seed: keys are sorted, floats are written with repr
 round-tripping, and no wall-clock data enters the files (timings go to
-the stderr log).  No stage draws random numbers; the seed is recorded
-in each report's provenance only.
+the stderr log).  No stage draws random numbers; the seed, ``--seed``
+(default 0), is recorded in each report's provenance only.  With
+``petrov.enabled``, ``verify`` also runs the weak-decrease check, with
+the rate ``sqrt_rate`` on 0 < d < ``PETROV_DELTA`` and the composed
+candidate's p0_bar ``PETROV_P0_BAR`` (constants in ``certificates``).
 """
 
 from __future__ import annotations
@@ -30,16 +33,18 @@ import numpy as np
 from . import __version__
 from .certificates import (
     ETA,
+    PETROV_DELTA,
     DecreaseModulus,
     IntegrabilityError,
     PositiveDefinitenessViolation,
     build_decrease_modulus,
     check_supersolution,
     check_weak_petrov,
+    sqrt_rate,
     verify_mrf_band,
 )
 from .config import RunConfig, as_plain, load_config
-from .library import _MU_PROFILES, get_example
+from .library import get_example
 from .oracle import RESOLVED, NonConvergence, compare_bound, hjb_value_iteration
 from .synthesis import (
     FeedbackGap,
@@ -114,10 +119,6 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
-def _effective_seed(args, cfg: RunConfig) -> int:
-    return cfg.seed if args.seed is None else int(args.seed)
-
-
 def _provenance(cfg: RunConfig, seed: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -168,11 +169,6 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
     """Check the candidate on its band; returns the verify report."""
     vcfg = cfg.require("verify")
     example = get_example(cfg.system.name, **cfg.system.params)
-    if example.mrf is None:
-        raise ConfigError(
-            f"system '{cfg.system.name}' with these parameters carries no candidate "
-            "restraint function to verify"
-        )
     grid = vcfg.grid
 
     cert = None
@@ -218,31 +214,16 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
 
     petrov = None
     if cfg.petrov.enabled:
-        mu = _MU_PROFILES[cfg.petrov.profile]
-        try:
-            prep = check_weak_petrov(
-                example.system,
-                example.target,
-                mu,
-                cfg.petrov.delta,
-                grid.points(),
-                p0_bar=cfg.petrov.p0_bar,
-            )
-            petrov = {"profile": cfg.petrov.profile, **prep}
-        except IntegrabilityError as exc:
-            petrov = {
-                "ok": False,
-                "profile": cfg.petrov.profile,
-                "reason": "gauge_integral_diverges",
-                "message": str(exc),
-            }
-            log.error("weak decrease check failed: %s", exc)
+        # 1/sqrt_rate is integrable at 0, so the gauge always builds
+        petrov = {"profile": "sqrt", **check_weak_petrov(
+            example.system, example.target, sqrt_rate, PETROV_DELTA, grid.points()
+        )}
 
     passed = bool(
         cert is not None
         and cert.certified
         and (supers is None or supers["passed"])
-        and (petrov is None or petrov.get("ok", False))
+        and (petrov is None or petrov["ok"])
     )
     report = _provenance(cfg, seed)
     report.update(
@@ -278,9 +259,8 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    seed = _effective_seed(args, cfg)
     out = _out_dir(args, cfg)
-    report = _verify_report(cfg, seed)
+    report = _verify_report(cfg, args.seed)
     _write_json(out / "verify_report.json", report)
     if report["passed"]:
         cert = report["certificate"]
@@ -367,7 +347,6 @@ def cmd_synthesize(args) -> int:
     cfg = load_config(args.config)
     scfg = cfg.require("synthesis")
     vcfg = cfg.require("verify")
-    seed = _effective_seed(args, cfg)
     out = _out_dir(args, cfg)
 
     verify = _read_stage(out / "verify_report.json")
@@ -376,7 +355,7 @@ def cmd_synthesize(args) -> int:
         print("synthesize: blocked, no verify report (run 'verify' first)")
         return EXIT_FAILURE
     conflicts = _provenance_conflicts(
-        {"verify_report.json": verify, "this run": _provenance(cfg, seed)}
+        {"verify_report.json": verify, "this run": _provenance(cfg, args.seed)}
     )
     if conflicts:
         for key, listed in conflicts.items():
@@ -426,7 +405,7 @@ def cmd_synthesize(args) -> int:
     axioms_ok = bool(kl_block.get("axioms", {}).get("passed", False))
     all_ok = axioms_ok and all(e.get("ok", False) for e in entries)
 
-    report = _provenance(cfg, seed)
+    report = _provenance(cfg, args.seed)
     report.update(
         {
             "kind": "synthesize",
@@ -454,7 +433,6 @@ def cmd_synthesize(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     ocfg = cfg.require("oracle")
-    seed = _effective_seed(args, cfg)
     out = _out_dir(args, cfg)
 
     example = get_example(cfg.system.name, **cfg.system.params)
@@ -480,7 +458,7 @@ def cmd_oracle(args) -> int:
         }
         log.info("pinned %d boundary-layer nodes at %.3g", int(mask.sum()), value)
 
-    report = _provenance(cfg, seed)
+    report = _provenance(cfg, args.seed)
     report.update(
         {
             "kind": "oracle",
@@ -522,17 +500,14 @@ def cmd_oracle(args) -> int:
 
     write_value_table_csv(out / "value_table.csv", table)
 
-    comparison = None
-    passed = True
-    if example.mrf is not None:
-        comparison = compare_bound(
-            table,
-            example.mrf,
-            oracle_tol=ocfg.oracle_tol,
-            target=example.target,
-            include=include,
-        )
-        passed = bool(comparison["passed"])
+    comparison = compare_bound(
+        table,
+        example.mrf,
+        oracle_tol=ocfg.oracle_tol,
+        target=example.target,
+        include=include,
+    )
+    passed = bool(comparison["passed"])
 
     analytic = None
     if "analytic_value" in example.facts:
@@ -555,9 +530,7 @@ def cmd_oracle(args) -> int:
     )
     _write_json(out / "oracle_report.json", report)
 
-    if comparison is None:
-        print(f"oracle: converged in {table.sweeps} sweeps (no candidate to compare)")
-    elif passed:
+    if passed:
         print(
             f"oracle: bound holds at every node "
             f"(worst gap {comparison['worst_gap']:g}, {comparison['n_checked']} checked)"
@@ -629,9 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="YAML run configuration")
     common.add_argument("-o", "--out", metavar="DIR",
                         help="output directory (default: output.dir from the config)")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help="seed to record in report provenance (no stage draws "
-                        "random numbers)")
+    common.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="seed to record in report provenance (default 0; no stage "
+                        "draws random numbers)")
     common.add_argument("-v", "--verbose", action="count", default=0,
                         help="more stderr logging (-vv for debug)")
 

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .certificates import GridSpec
-from .library import _MU_PROFILES, EXAMPLES
+from .library import EXAMPLES
 from .synthesis import SynthesisConfig
 from .systems import ConfigError
 
@@ -206,16 +206,13 @@ class VerifySection:
 @dataclass(frozen=True)
 class PetrovSection:
     enabled: bool = False
-    profile: str = _bounded("sqrt", choices=tuple(_MU_PROFILES))
-    delta: float = _bounded(1.0, lo=0.0, lo_open=True)
-    p0_bar: float = _bounded(0.5, lo=0.0, lo_open=True, hi=1.0)
 
 
 @dataclass(frozen=True, kw_only=True)
 class SynthesisSection(SynthesisConfig):
-    """The synthesis settings plus the start states.
+    """The synthesis setting, ``epsilon``, plus the start states.
 
-    Each setting's range is checked once, in ``SynthesisConfig.__post_init__``.
+    Its range is checked once, in ``SynthesisConfig.__post_init__``.
     """
 
     initial_states: tuple
@@ -249,7 +246,6 @@ class RunConfig:
     oracle: Optional[OracleSection] = None
     petrov: PetrovSection = field(default_factory=PetrovSection)
     output: OutputSection = field(default_factory=OutputSection)
-    seed: int = _bounded(0, lo=0)
 
     def digest(self) -> str:
         """Stable fingerprint of the parsed config, for report provenance."""

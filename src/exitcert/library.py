@@ -1,7 +1,7 @@
 """Built-in example systems with their candidate restraint functions.
 
 Each builder returns an ExampleSpec bundling the dynamics, the target
-and (where one is known in closed form) the candidate.  Builders accept
+and the candidate.  Builders accept
 keyword parameters so configs can override the defaults.  Everything is
 evaluated on (N, dim) blocks, because the verification sweeps touch
 hundreds of thousands of grid points; only f, l and U also come in a
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class ExampleSpec:
     params: dict
     system: ControlSystem
     target: TargetSet
-    mrf: Optional[CandidateMrf] = None
+    mrf: CandidateMrf
     facts: dict = field(default_factory=dict)
 
 
@@ -378,17 +378,6 @@ def _spiral_oracle_pin(k_const: float):
         return mask, float(value)
 
     return pin
-
-
-# ----------------------------------------------------------------------
-# decrease-rate profiles of the weak directional decrease check
-
-
-_MU_PROFILES: dict = {
-    "sqrt": lambda r: np.minimum(np.sqrt(np.maximum(r, 0.0)), 1.0),
-    "linear": lambda r: np.clip(r, 0.0, 1.0),
-    "constant": lambda r: np.ones_like(r, dtype=float),
-}
 
 
 # ----------------------------------------------------------------------

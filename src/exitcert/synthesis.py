@@ -103,18 +103,19 @@ class ModulusError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """The two settings of a synthesis run; the integrator's other numbers are constants below."""
+    """The one setting of a synthesis run; the integrator's numbers are constants below."""
 
     epsilon: float = 0.1          # cost slack: budget (1+epsilon) * U(x) / p0_bar
-    d_tol: float = 1e-3           # stop once d(x) falls below this
 
     def __post_init__(self) -> None:
-        # the one set of range checks, for library and YAML input alike;
-        # each message starts with the field's name
-        for name in ("epsilon", "d_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        # the one range check, for library and YAML input alike; the
+        # message starts with the field's name
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon!r}")
 
+
+# a run stops, approached_target, once d(x) falls below D_TOL
+D_TOL = 1e-3
 
 # geometric level cascade mu_k = NU_RATIO^k * U(x), for at most MAX_LEVELS legs
 NU_RATIO = 0.5
@@ -354,7 +355,7 @@ def integrate_leg(
     the level; the step's substep count stays even.  Steps whose
     interior already dips to the endpoint value are cut at the first
     such substep so that node values strictly decrease.  Stops early
-    with status approached_target once d(x) < d_tol.  sigma is the band
+    with status approached_target once d(x) < D_TOL.  sigma is the band
     top at which the field cuts off.  The leg's ``work`` counts RK4
     paths and the substeps integrated (a path that raises counts in
     full), rejected trial lengths, crossing evaluations and accepted
@@ -388,7 +389,7 @@ def integrate_leg(
     while status is None:
         u_anchor = mrf.u(state)
         d_anchor = target.d(state)
-        if d_anchor < config.d_tol:
+        if d_anchor < D_TOL:
             status = TrajectoryStatus.APPROACHED_TARGET
             break
         if u_anchor <= mu_hat + level_tol:
@@ -428,7 +429,7 @@ def integrate_leg(
                 continue
 
             d_path = target.d_many(path)
-            hit = np.where(d_path[1:] < config.d_tol)[0]
+            hit = np.where(d_path[1:] < D_TOL)[0]
             hit_i = int(hit[0]) + 1 if hit.size else None
             crossed = np.where(u_path[1:] <= mu_hat + level_tol)[0]
             cross_i = int(crossed[0]) + 1 if crossed.size else None
@@ -721,7 +722,7 @@ def synthesize(
     d0 = target.d(x0)
     cost_bound = (config.epsilon + 1.0) * u0 / mrf.p0_bar if mrf.p0_bar > 0 else None
 
-    if d0 < config.d_tol:
+    if d0 < D_TOL:
         traj = Trajectory(
             t=np.array([0.0]),
             s=np.array([0.0]),
@@ -763,7 +764,7 @@ def synthesize(
     mu_prev = u0
     for k in range(1, MAX_LEVELS + 1):
         mu_k = u0 * NU_RATIO**k
-        if target.d(state) < config.d_tol:
+        if target.d(state) < D_TOL:
             status = TrajectoryStatus.APPROACHED_TARGET
             break
         if mrf.u(state) <= mu_k:
@@ -794,7 +795,7 @@ def synthesize(
         if leg.status == TrajectoryStatus.APPROACHED_TARGET:
             status = TrajectoryStatus.APPROACHED_TARGET
             break
-    if status != TrajectoryStatus.APPROACHED_TARGET and target.d(state) < config.d_tol:
+    if status != TrajectoryStatus.APPROACHED_TARGET and target.d(state) < D_TOL:
         status = TrajectoryStatus.APPROACHED_TARGET
 
     traj = Trajectory(

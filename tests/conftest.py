@@ -68,7 +68,7 @@ def ring():
 
 @pytest.fixture(scope="session")
 def ring_synthesis(ring):
-    cfg = SynthesisConfig(epsilon=0.01, d_tol=1e-3)
+    cfg = SynthesisConfig(epsilon=0.01)
     return synthesize(
         ring.ex.system, ring.ex.target, ring.ex.mrf, ring.modulus,
         np.array([0.0, 3.5]), cfg, sigma=ring.sigma,

@@ -148,7 +148,7 @@ def test_criterion_6_ring_exit_is_nearly_free():
     modulus = build_decrease_modulus(cert.m_hat_samples)
     res = synthesize(
         ex.system, ex.target, ex.mrf, modulus,
-        np.array([0.0, 3.5]), SynthesisConfig(epsilon=0.01, d_tol=1e-3), sigma=6e-3,
+        np.array([0.0, 3.5]), SynthesisConfig(epsilon=0.01), sigma=6e-3,
     )
     el = time.perf_counter() - t0
     ok = (

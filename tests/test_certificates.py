@@ -19,10 +19,11 @@ from exitcert.certificates import (
     check_supersolution,
     check_weak_petrov,
     sample_band,
+    sqrt_rate,
     verify_mrf_band,
 )
 from exitcert.config import as_plain
-from exitcert.library import _MU_PROFILES, _two_sided_pieces, minimum_time_1d, power_law, spiral
+from exitcert.library import _two_sided_pieces, minimum_time_1d, power_law, spiral
 from exitcert.pwl import MonotonePL, level_max
 from exitcert.systems import ConfigError, NegativeLagrangian, SingularDynamics
 
@@ -622,7 +623,7 @@ def _petrov_points():
 def test_petrov_sqrt_profile_builds_the_root_gauge():
     ex = minimum_time_1d()
     rep = check_weak_petrov(
-        ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points()
+        ex.system, ex.target, sqrt_rate, 1.0, _petrov_points()
     )
     assert rep["ok"]
     assert rep["n_checked"] > 0
@@ -633,7 +634,7 @@ def test_petrov_sqrt_profile_builds_the_root_gauge():
         assert phi(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-3)
     # no sample strictly between the target and delta: nothing is checked
     empty = check_weak_petrov(
-        ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, np.array([[0.0], [1.2]])
+        ex.system, ex.target, sqrt_rate, 1.0, np.array([[0.0], [1.2]])
     )
     assert empty["n_checked"] == 0
     assert not empty["ok"]
@@ -648,7 +649,7 @@ def test_petrov_sqrt_profile_builds_the_root_gauge():
 def test_petrov_constant_profile_gauge_is_identity():
     ex = minimum_time_1d()
     rep = check_weak_petrov(
-        ex.system, ex.target, _MU_PROFILES["constant"], 1.0, _petrov_points()
+        ex.system, ex.target, lambda r: np.ones_like(r, dtype=float), 1.0, _petrov_points()
     )
     assert rep["ok"]
     phi = MonotonePL(*rep["phi_knots"])
@@ -662,7 +663,7 @@ def test_petrov_gauge_quadrature_matches_closed_form(delta):
     # top decade, where one fixed rule is off by about 1e-5
     ex = minimum_time_1d()
     rep = check_weak_petrov(
-        ex.system, ex.target, _MU_PROFILES["sqrt"], delta, _petrov_points()
+        ex.system, ex.target, sqrt_rate, delta, _petrov_points()
     )
     assert rep["ok"]
 
@@ -702,7 +703,7 @@ def test_petrov_linear_profile_diverges():
     ex = minimum_time_1d()
     with pytest.raises(IntegrabilityError) as exc:
         check_weak_petrov(
-            ex.system, ex.target, _MU_PROFILES["linear"], 1.0, _petrov_points()
+            ex.system, ex.target, lambda r: np.clip(r, 0.0, 1.0), 1.0, _petrov_points()
         )
     assert len(exc.value.increments) > 0
     # log divergence: decade increments stay flat instead of decaying
@@ -722,7 +723,7 @@ def test_petrov_checks_unit_cost_on_every_sample():
         batch_lagrangian=lambda X, a: cost(X),
     )
     with pytest.raises(ConfigError, match="identically 1"):
-        check_weak_petrov(bumpy, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points())
+        check_weak_petrov(bumpy, ex.target, sqrt_rate, 1.0, _petrov_points())
 
 
 @pytest.mark.parametrize("max_records", [32, 5])
@@ -736,7 +737,7 @@ def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
         batch_dynamics=lambda X, a: np.full((len(X), 1), 0.25 * a[0]),
     )
     pts = _petrov_points()
-    rep = check_weak_petrov(slow, ex.target, _MU_PROFILES["sqrt"], 1.0, pts)
+    rep = check_weak_petrov(slow, ex.target, sqrt_rate, 1.0, pts)
     assert not rep["ok"]
     assert len(rep["failures"]) == max_records
     kinds = ["petrov_decrease", "petrov_hamiltonian"] * max_records
@@ -761,7 +762,7 @@ def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
 def test_petrov_induced_candidate_certifies():
     ex = minimum_time_1d()
     rep = check_weak_petrov(
-        ex.system, ex.target, _MU_PROFILES["sqrt"], 1.0, _petrov_points()
+        ex.system, ex.target, sqrt_rate, 1.0, _petrov_points()
     )
     # the induced candidate has H margin -(1 - p0_bar) by construction
     assert rep["worst_h_margin"] <= 1e-9

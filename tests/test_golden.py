@@ -9,7 +9,8 @@ change, rewrite the manifests from fresh runs with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change log which artifacts moved and why.
+which prints, for each config, the artifacts whose digests moved against
+the manifest it overwrites; say in the change log which moved and why.
 """
 
 import hashlib
@@ -62,6 +63,11 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _moved(pinned: dict, fresh: dict) -> list:
+    """The artifacts whose digests differ between two sha256 maps, or that only one has."""
+    return sorted(f for f in pinned.keys() | fresh.keys() if pinned.get(f) != fresh.get(f))
+
+
 def _headline(out: Path) -> dict:
     found = {}
     for name, (fname, keys) in HEADLINES.items():
@@ -94,8 +100,7 @@ def run_config(name: str, out: Path) -> dict:
 def test_bundled_run_matches_golden(name, tmp_path):
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
     got = run_config(name, tmp_path)
-    pinned, fresh = golden["sha256"], got["sha256"]
-    moved = sorted(f for f in pinned.keys() | fresh.keys() if pinned.get(f) != fresh.get(f))
+    moved = _moved(golden["sha256"], got["sha256"])
     assert not moved, (
         f"{name}: artifacts differ from tests/golden/{name}.json: {moved}; "
         f"headline pinned {golden['headline']}, fresh {got['headline']}"
@@ -107,7 +112,10 @@ def test_bundled_run_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for config in STAGES:
+        path = GOLDEN / f"{config}.json"
+        pinned = json.loads(path.read_text())["sha256"] if path.is_file() else {}
         with tempfile.TemporaryDirectory() as tmp:
             manifest = run_config(config, Path(tmp))
-        (GOLDEN / f"{config}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        print(f"wrote tests/golden/{config}.json")
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        moved = _moved(pinned, manifest["sha256"])
+        print(f"wrote tests/golden/{config}.json; moved: {', '.join(moved) or 'none'}")

@@ -47,18 +47,20 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # configuration guards
 
 
-# the ids are the case names these two had when the table also held the
-# integrator constants
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        pytest.param({"epsilon": 0.0}, id="kwargs0"),
-        pytest.param({"d_tol": 0.0}, id="kwargs7"),
-    ],
-)
+# the id is the case name this one had when the table also held the
+# integrator constants and d_tol
+@pytest.mark.parametrize("kwargs", [pytest.param({"epsilon": 0.0}, id="kwargs0")])
 def test_synthesis_config_rejects(kwargs):
     with pytest.raises(ConfigError):
         SynthesisConfig(**kwargs)
+
+
+def test_former_config_constants_keep_their_ranges():
+    """The range checks that went with the keys synthesis.d_tol, petrov.delta and petrov.p0_bar."""
+    assert synthesis_mod.D_TOL > 0
+    assert certificates.PETROV_DELTA > 0
+    # the composed candidate's Hamiltonian margin is -(1 - p0_bar)
+    assert 0 <= certificates.PETROV_P0_BAR < 1
 
 
 def test_integrator_constants_keep_their_invariants():
@@ -423,7 +425,7 @@ def test_one_band_top_reaches_the_cutoff(ring, monkeypatch):
         return cutoff(u, mu_hat, sigma)
 
     monkeypatch.setattr(synthesis_mod, "_cutoff", recording_cutoff)
-    cfg = SynthesisConfig(epsilon=0.01, d_tol=1e-3)
+    cfg = SynthesisConfig(epsilon=0.01)
     synthesize(
         ring.ex.system, ring.ex.target, ring.ex.mrf, ring.modulus,
         np.array([0.0, 3.5]), cfg, sigma=ring.sigma,
@@ -464,7 +466,8 @@ def test_start_with_nonpositive_value_is_rejected(mt):
 
 def test_truncation_when_levels_run_out(mt, monkeypatch):
     monkeypatch.setattr(synthesis_mod, "MAX_LEVELS", 1)
-    cfg = SynthesisConfig(d_tol=1e-6)
+    monkeypatch.setattr(synthesis_mod, "D_TOL", 1e-6)
+    cfg = SynthesisConfig()
     res = synthesize(
         mt.ex.system, mt.ex.target, mt.ex.mrf, mt.modulus,
         np.array([1.0]), cfg, sigma=mt.sigma,
