@@ -392,13 +392,23 @@ def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch, text):
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("key, value", [("epsilon", 0.5), ("epsilon", -0.1)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("epsilon", 0.5), ("epsilon", -0.1), ("d_tol", 1e-2), ("d_tol", 0.0)],
+)
 def test_yaml_and_library_share_synthesis_bounds(key, value):
-    """A setting the library accepts parses from YAML; one it rejects names its field."""
+    """A setting the library accepts parses from YAML; one it rejects names its field.
+
+    d_tol is the constant synthesis.D_TOL: neither side takes it as a setting.
+    """
     raw = yaml.safe_load(MT_CFG)
     raw["synthesis"][key] = value
     try:
         SynthesisConfig(**{key: value})
+    except TypeError:
+        unknown = rf"config field 'synthesis': unknown key\(s\) \['{key}'\]"
+        with pytest.raises(ConfigError, match=unknown):
+            config_from_dict(raw)
     except ConfigError:
         with pytest.raises(ConfigError, match=rf"config field 'synthesis\.{key}'"):
             config_from_dict(raw)
