@@ -11,7 +11,6 @@ records the resolution it was computed at and makes no claim beyond it.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -36,7 +35,6 @@ __all__ = [
     "verify_mrf_band",
     "build_decrease_modulus",
     "check_supersolution",
-    "IntegrabilityError",
     "check_weak_petrov",
     "sqrt_rate",
 ]
@@ -753,43 +751,10 @@ def check_supersolution(
 # weak Petrov condition
 
 
-def _median(values: Sequence) -> float:
-    """``np.median`` of a short list; that imports ``numpy.ma`` on first use."""
-    s = sorted(values)
-    m = len(s) // 2
-    return float(s[m]) if len(s) % 2 else (s[m - 1] + s[m]) / 2
-
-
-class IntegrabilityError(ValueError):
-    """1/mu is not integrable, so no finite gauge can be built."""
-
-    def __init__(self, increments: list, ratios: list, message: Optional[str] = None):
-        self.increments = increments
-        self.ratios = ratios
-        super().__init__(
-            message
-            or "decade integrals of 1/mu do not decay (ratio median "
-            f"{_median(ratios):.4f}); the gauge integral diverges at 0"
-        )
-
-
-# Adaptive composite Gauss-Legendre (Golub & Welsch, Math. Comp. 23, 1969)
-# for the gauge integrals.  A panel is accepted when its _GL_NODES-node and
-# 2*_GL_NODES-node rules agree to _GL_RTOL of the whole interval's estimate;
-# an absolute budget, unlike one relative to each panel, also resolves a
-# jump of 1/mu.  On a smooth decade of 1/sqrt or 1/r the first panel is
-# accepted; the kink of min(sqrt(r), 1) at r = 1 takes 29 panels.
-_GL_NODES = 32
-_GL_RTOL = 1e-13
-_GL_DEPTH = 50
-
-# The gauge integrates 1/mu over this many decades below delta and
-# extrapolates the rest geometrically; a Petrov margin above PETROV_TOL fails.
-PETROV_DECADES = 12
+# A Petrov margin above PETROV_TOL fails.  verify's weak-decrease check runs
+# with the rate sqrt_rate on 0 < d < PETROV_DELTA, and the composed
+# candidate's p0_bar
 PETROV_TOL = 1e-9
-
-# verify's weak-decrease check: the rate sqrt_rate on 0 < d < PETROV_DELTA,
-# and the composed candidate's p0_bar
 PETROV_DELTA = 1.0
 PETROV_P0_BAR = 0.5
 
@@ -799,77 +764,23 @@ def sqrt_rate(r: np.ndarray) -> np.ndarray:
     return np.minimum(np.sqrt(np.maximum(r, 0.0)), 1.0)
 
 
-@functools.cache
-def _gauss_legendre() -> tuple:
-    """Nodes of both rules in one array, and the weights of each rule."""
-    x_lo, w_lo = np.polynomial.legendre.leggauss(_GL_NODES)
-    x_hi, w_hi = np.polynomial.legendre.leggauss(2 * _GL_NODES)
-    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
+def check_weak_petrov(system: ControlSystem, target: TargetSet, points: np.ndarray) -> dict:
+    """Check the directional decrease of d and the candidate it induces.
 
-
-def _integrate_reciprocal(mu: Callable, a: float, b: float) -> float:
-    """Integral of 1/mu over [a, b]; mu is evaluated on arrays of radii.
-
-    A non-finite value is returned as it is, for the caller to reject.
-    Raises IntegrabilityError when a panel is still unresolved after
-    _GL_DEPTH bisections, as it is next to a pole of 1/mu.
+    For minimum-time problems (l identically 1) with the rate
+    mu = sqrt_rate: checks min_a <p, f(x,a)> <= -mu(d(x)) for the limiting
+    gradients p of the distance at sample points with
+    0 < d < PETROV_DELTA, and the Hamiltonian margin -(1 - PETROV_P0_BAR)
+    of the composed candidate phi(d(.)) at the same points.  The gauge
+    phi(r), the integral of 1/mu from 0 to r, is 2 sqrt(r) in closed form,
+    since mu(r) = sqrt(r) for r <= PETROV_DELTA <= 1; the margin uses its
+    gradient q/mu(d).  A pair fails when either margin exceeds PETROV_TOL.
+    A check that reaches no sample point fails.  Returns the report:
+    ``ok``, ``n_checked``, ``worst_eq_slack`` and ``worst_h_margin`` (NaN
+    when nothing was checked), the gauge as ``phi_knots`` [xs, ys] at
+    decade levels below PETROV_DELTA and in ten steps across the top
+    decade, and the ``failures`` records.
     """
-    nodes, w_lo, w_hi = _gauss_legendre()
-    budget = None
-    total = 0.0
-    panels = [(a, b, 0)]
-    while panels:
-        lo, hi, depth = panels.pop()
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / np.asarray(mu(mid + half * nodes), dtype=float)
-        coarse = half * float(w_lo @ inv[:_GL_NODES])
-        fine = half * float(w_hi @ inv[_GL_NODES:])
-        if not np.isfinite(coarse + fine):
-            return coarse + fine
-        if budget is None:
-            budget = _GL_RTOL * abs(fine)
-        if abs(fine - coarse) <= budget:
-            total += fine
-        elif depth < _GL_DEPTH:
-            panels += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
-        else:
-            raise IntegrabilityError(
-                [], [],
-                f"1/mu is not resolved on [{lo!r}, {hi!r}] after {depth} bisections "
-                f"of [{a!r}, {b!r}]; the gauge integral may diverge there",
-            )
-    return total
-
-
-def check_weak_petrov(
-    system: ControlSystem,
-    target: TargetSet,
-    mu: Callable[[np.ndarray], np.ndarray],
-    delta: float,
-    points: np.ndarray,
-) -> dict:
-    """Check the directional decrease of d and build the induced gauge.
-
-    For minimum-time problems (l identically 1) with a rate mu whose
-    reciprocal is integrable at 0: checks min_a <p, f(x,a)> <= -mu(d(x))
-    for the limiting gradients p of the distance at sample points with
-    0 < d < delta, and the Hamiltonian margin -(1 - PETROV_P0_BAR) of the
-    composed candidate phi(d(.)) at the same points, where the gauge
-    phi(r) is the integral of 1/mu built by quadrature over
-    PETROV_DECADES decades.  mu maps an array of radii to an array of
-    rates.  A pair fails when either margin exceeds PETROV_TOL.  A check
-    that reaches no sample point fails.  Returns the report: ``ok``,
-    ``n_checked``, ``worst_eq_slack`` and ``worst_h_margin`` (NaN when
-    nothing was checked), the gauge as ``phi_knots`` [xs, ys], ``tail``,
-    ``increments``, ``ratios`` and the ``failures`` records.
-
-    Raises IntegrabilityError when the decade integrals of 1/mu fail to
-    decay geometrically (the gauge would diverge), or when the
-    quadrature cannot resolve 1/mu on some interval.
-    """
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
     if target.distance_gradients is None:
         raise ConfigError("target must provide distance gradients")
 
@@ -885,53 +796,17 @@ def check_weak_petrov(
             i = int(np.argmax(off))
             raise ConfigError(f"running cost must be identically 1, got {L[i]} at x={X[i].tolist()}")
 
-    # mu must be positive away from 0 and (weakly) increasing
-    rs = delta * 10.0 ** (-np.arange(0, 9, dtype=float))
-    mu_vals = np.array([float(mu(r)) for r in rs])
-    if np.any(mu_vals <= 0):
-        raise ConfigError("mu must be positive on (0, delta]")
-    if np.any(np.diff(mu_vals) > 1e-12 * np.maximum(mu_vals[:-1], 1.0)):
-        raise ConfigError("mu must be non-decreasing on (0, delta]")
-    if float(mu(0.0)) < 0:
-        raise ConfigError("mu(0) must be non-negative")
-
-    # decade-wise integrals of 1/mu; geometric decay <=> integrable at 0
-    increments = []
-    for k in range(PETROV_DECADES):
-        a, b = delta * 10.0 ** (-(k + 1)), delta * 10.0 ** (-k)
-        val = _integrate_reciprocal(mu, a, b)
-        if not np.isfinite(val) or val < 0:
-            raise IntegrabilityError(
-                increments + [val], [1.0], f"the integral of 1/mu over [{a!r}, {b!r}] is {val}"
-            )
-        increments.append(val)
-    ratios = [increments[k + 1] / increments[k]
-              for k in range(PETROV_DECADES - 5, PETROV_DECADES - 1)]
-    rbar = _median(ratios)
-    if rbar >= 0.98:
-        raise IntegrabilityError(increments, ratios)
-    tail = increments[-1] * rbar / (1.0 - rbar)
-
-    # gauge knots: decade levels, refined inside the top decade
-    knots_x = [0.0, delta * 10.0 ** (-PETROV_DECADES)]
-    knots_y = [0.0, tail]
-    acc = tail
-    for k in range(PETROV_DECADES - 1, 0, -1):
-        acc += increments[k]
-        knots_x.append(delta * 10.0 ** (-k))
-        knots_y.append(acc)
-    for r in np.linspace(delta / 10.0, delta, 10)[1:]:
-        acc += _integrate_reciprocal(mu, knots_x[-1], float(r))
-        knots_x.append(float(r))
-        knots_y.append(acc)
-    phi = MonotonePL(np.array(knots_x), np.array(knots_y))
+    # Python's float power, not numpy's array power, which rounds 1e-5 down
+    knots_x = [0.0] + [PETROV_DELTA * 10.0 ** (-k) for k in range(12, 0, -1)]
+    knots_x += np.linspace(PETROV_DELTA / 10.0, PETROV_DELTA, 10)[1:].tolist()
+    knots_y = (2.0 * np.sqrt(knots_x)).tolist()
 
     # directional decrease of the distance at every (point, gradient) pair
     D = target.d_many(X)
-    sel = np.flatnonzero((D > D_FLOOR) & (D < delta))
+    sel = np.flatnonzero((D > D_FLOOR) & (D < PETROV_DELTA))
     rows, grads, rates = [], [], []
     for i in sel:
-        mu_r = float(mu(D[i]))
+        mu_r = float(sqrt_rate(D[i]))
         for q in target.distance_gradients(X[i]):
             rows.append(i)
             grads.append(q)
@@ -962,9 +837,6 @@ def check_weak_petrov(
         "n_checked": n_checked,
         "worst_eq_slack": worst_slack if np.isfinite(worst_slack) else float("nan"),
         "worst_h_margin": worst_h if np.isfinite(worst_h) else float("nan"),
-        "phi_knots": [phi.xs.tolist(), phi.ys.tolist()],
-        "tail": tail,
-        "increments": increments,
-        "ratios": ratios,
+        "phi_knots": [knots_x, knots_y],
         "failures": failures,
     }

@@ -33,14 +33,11 @@ import numpy as np
 from . import __version__
 from .certificates import (
     ETA,
-    PETROV_DELTA,
     DecreaseModulus,
-    IntegrabilityError,
     PositiveDefinitenessViolation,
     build_decrease_modulus,
     check_supersolution,
     check_weak_petrov,
-    sqrt_rate,
     verify_mrf_band,
 )
 from .config import RunConfig, as_plain, load_config
@@ -214,10 +211,8 @@ def _verify_report(cfg: RunConfig, seed: int) -> dict:
 
     petrov = None
     if cfg.petrov.enabled:
-        # 1/sqrt_rate is integrable at 0, so the gauge always builds
-        petrov = {"profile": "sqrt", **check_weak_petrov(
-            example.system, example.target, sqrt_rate, PETROV_DELTA, grid.points()
-        )}
+        petrov = {"profile": "sqrt",
+                  **check_weak_petrov(example.system, example.target, grid.points())}
 
     passed = bool(
         cert is not None
@@ -646,7 +641,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         log.error("non-convergence: %s", exc)
         return EXIT_NO_CONVERGENCE
-    except (PositiveDefinitenessViolation, IntegrabilityError, FeedbackGap,
+    except (PositiveDefinitenessViolation, FeedbackGap,
             StepCollapse, ModulusError, NegativeLagrangian, SingularDynamics) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return EXIT_FAILURE

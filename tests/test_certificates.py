@@ -11,15 +11,14 @@ import pytest
 import exitcert.certificates as certificates
 from exitcert.certificates import (
     CandidateMrf,
+    DecreaseModulus,
     GridSpec,
-    IntegrabilityError,
     PositiveDefinitenessViolation,
     SmoothPiece,
     build_decrease_modulus,
     check_supersolution,
     check_weak_petrov,
     sample_band,
-    sqrt_rate,
     verify_mrf_band,
 )
 from exitcert.config import as_plain
@@ -588,6 +587,22 @@ def test_supersolution_fails_with_inflated_modulus(mt):
     _assert_plain_report(rep)
 
 
+@pytest.mark.parametrize("excess", [1e-6, -1e-6], ids=["over", "under"])
+def test_supersolution_fails_just_past_zero(mt, excess):
+    # H = -0.1 on the whole band, and m(1.5) = 0.1 + excess at the band top
+    modulus = DecreaseModulus(MonotonePL([0.0, 1.5], [0.0, 0.1 + excess]))
+    rep = check_supersolution(mt.ex.mrf, modulus, _band(mt.ex, mt.grid, (mt.delta, mt.sigma)))
+    assert rep["worst_margin"] == pytest.approx(excess, rel=1e-3)
+    if excess < 0:
+        assert rep["passed"]
+        assert not rep["failures"]
+        return
+    assert not rep["passed"]
+    assert [v["kind"] for v in rep["failures"]] == ["supersolution"] * 2
+    assert rep["failures"][0]["x"] == [1.5]
+    assert rep["failures"][0]["value"] == pytest.approx(excess, rel=1e-3)
+
+
 def test_supersolution_skips_samples_with_several_active_pieces(mt):
     # at x > 0 the steep and shallow pieces are both active, and the
     # shallow gradient gives H = 0.4, so H + m(U) is largest there
@@ -620,11 +635,18 @@ def _petrov_points():
     return np.linspace(-1.5, 1.5, 301)[:, None]
 
 
+def _at_speed(system, speed):
+    """The line's minimum-time system moving at ``speed`` instead of 1."""
+    return replace(
+        system,
+        dynamics=lambda x, a: np.array([speed * a[0]]),
+        batch_dynamics=lambda X, a: np.full((len(X), 1), speed * a[0]),
+    )
+
+
 def test_petrov_sqrt_profile_builds_the_root_gauge():
     ex = minimum_time_1d()
-    rep = check_weak_petrov(
-        ex.system, ex.target, sqrt_rate, 1.0, _petrov_points()
-    )
+    rep = check_weak_petrov(ex.system, ex.target, _petrov_points())
     assert rep["ok"]
     assert rep["n_checked"] > 0
     assert rep["worst_eq_slack"] <= 1e-9
@@ -633,81 +655,27 @@ def test_petrov_sqrt_profile_builds_the_root_gauge():
     for r in (0.01, 0.1, 0.5, 1.0):
         assert phi(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-3)
     # no sample strictly between the target and delta: nothing is checked
-    empty = check_weak_petrov(
-        ex.system, ex.target, sqrt_rate, 1.0, np.array([[0.0], [1.2]])
-    )
+    empty = check_weak_petrov(ex.system, ex.target, np.array([[0.0], [1.2]]))
     assert empty["n_checked"] == 0
     assert not empty["ok"]
     assert np.isnan(empty["worst_eq_slack"]) and np.isnan(empty["worst_h_margin"])
-    keys = {"ok", "n_checked", "worst_eq_slack", "worst_h_margin", "phi_knots", "tail",
-            "increments", "ratios", "failures"}
+    keys = {"ok", "n_checked", "worst_eq_slack", "worst_h_margin", "phi_knots", "failures"}
     for r in (rep, empty):
         assert set(r) == keys
         _assert_plain_report(r)
 
 
-def test_petrov_constant_profile_gauge_is_identity():
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+def test_petrov_gauge_quadrature_matches_closed_form(delta, monkeypatch):
+    # below r = 1 the rate is sqrt(r), so the gauge is 2*sqrt(r) at every knot
+    monkeypatch.setattr(certificates, "PETROV_DELTA", delta)
     ex = minimum_time_1d()
-    rep = check_weak_petrov(
-        ex.system, ex.target, lambda r: np.ones_like(r, dtype=float), 1.0, _petrov_points()
-    )
+    rep = check_weak_petrov(ex.system, ex.target, _petrov_points())
     assert rep["ok"]
-    phi = MonotonePL(*rep["phi_knots"])
-    for r in (0.1, 0.5, 1.0):
-        assert phi(r) == pytest.approx(r, rel=1e-9)
-
-
-@pytest.mark.parametrize("delta", [1.0, 1.5])
-def test_petrov_gauge_quadrature_matches_closed_form(delta):
-    # at delta = 1.5 mu = min(sqrt(r), 1) has its kink at r = 1 inside the
-    # top decade, where one fixed rule is off by about 1e-5
-    ex = minimum_time_1d()
-    rep = check_weak_petrov(
-        ex.system, ex.target, sqrt_rate, delta, _petrov_points()
-    )
-    assert rep["ok"]
-
-    def gauge(r):
-        return 2.0 * np.sqrt(min(r, 1.0)) + max(r - 1.0, 0.0)
-
-    for k, inc in enumerate(rep["increments"]):
-        a, b = delta * 10.0 ** (-(k + 1)), delta * 10.0 ** (-k)
-        assert inc == pytest.approx(gauge(b) - gauge(a), rel=1e-10, abs=0.0), k
-    for x, y in zip(*rep["phi_knots"]):
-        assert y == pytest.approx(gauge(x), rel=1e-10, abs=0.0), x
-
-
-def _root_rate_with_pole(r):
-    # 1/mu has a non-integrable pole at r = 0.5, between the sampled decade
-    # points, so no number the quadrature could return would be right
-    return np.minimum(np.sqrt(r), 1.0) * np.abs(r - 0.5)
-
-
-def _root_rate_with_gap(r):
-    # mu = 0 on (0.02, 0.03), between the sampled decade points
-    return np.where((r > 0.02) & (r < 0.03), 0.0, np.minimum(np.sqrt(r), 1.0))
-
-
-@pytest.mark.parametrize(
-    "mu, message",
-    [(_root_rate_with_pole, "not resolved"), (_root_rate_with_gap, r"over \[0\.01, 0\.1\] is inf")],
-    ids=["pole", "gap"],
-)
-def test_petrov_unresolved_reciprocal_raises(mu, message):
-    ex = minimum_time_1d()
-    with pytest.raises(IntegrabilityError, match=message):
-        check_weak_petrov(ex.system, ex.target, mu, 1.0, _petrov_points())
-
-
-def test_petrov_linear_profile_diverges():
-    ex = minimum_time_1d()
-    with pytest.raises(IntegrabilityError) as exc:
-        check_weak_petrov(
-            ex.system, ex.target, lambda r: np.clip(r, 0.0, 1.0), 1.0, _petrov_points()
-        )
-    assert len(exc.value.increments) > 0
-    # log divergence: decade increments stay flat instead of decaying
-    assert np.median(exc.value.ratios) > 0.9
+    xs, ys = rep["phi_knots"]
+    decades = [delta * 10.0 ** (-k) for k in range(12, 0, -1)]
+    assert xs == [0.0] + decades + np.linspace(delta / 10.0, delta, 10)[1:].tolist()
+    assert ys == [2.0 * np.sqrt(x) for x in xs]
 
 
 def test_petrov_checks_unit_cost_on_every_sample():
@@ -723,7 +691,7 @@ def test_petrov_checks_unit_cost_on_every_sample():
         batch_lagrangian=lambda X, a: cost(X),
     )
     with pytest.raises(ConfigError, match="identically 1"):
-        check_weak_petrov(bumpy, ex.target, sqrt_rate, 1.0, _petrov_points())
+        check_weak_petrov(bumpy, ex.target, _petrov_points())
 
 
 @pytest.mark.parametrize("max_records", [32, 5])
@@ -731,13 +699,8 @@ def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
     monkeypatch.setattr(certificates, "MAX_RECORDS", max_records)
     ex = minimum_time_1d()
     # at speed 1/4 both checks fail wherever sqrt(d) > 1/4
-    slow = replace(
-        ex.system,
-        dynamics=lambda x, a: np.array([0.25 * a[0]]),
-        batch_dynamics=lambda X, a: np.full((len(X), 1), 0.25 * a[0]),
-    )
     pts = _petrov_points()
-    rep = check_weak_petrov(slow, ex.target, sqrt_rate, 1.0, pts)
+    rep = check_weak_petrov(_at_speed(ex.system, 0.25), ex.target, pts)
     assert not rep["ok"]
     assert len(rep["failures"]) == max_records
     kinds = ["petrov_decrease", "petrov_hamiltonian"] * max_records
@@ -759,11 +722,27 @@ def test_petrov_records_pair_by_pair_up_to_the_cap(max_records, monkeypatch):
             assert v["value"] == pytest.approx(1.0 - 0.25 / rate)
 
 
+@pytest.mark.parametrize("excess", [1e-6, -1e-6], ids=["slower", "faster"])
+def test_petrov_fails_just_past_its_tolerance(excess):
+    # at speed sqrt(0.99) - excess both margins peak at d = 0.99, the
+    # largest sample distance below PETROV_DELTA, where they are about excess
+    ex = minimum_time_1d()
+    system = _at_speed(ex.system, np.sqrt(0.99) - excess)
+    rep = check_weak_petrov(system, ex.target, _petrov_points())
+    assert rep["worst_eq_slack"] == pytest.approx(excess, rel=1e-2)
+    assert rep["worst_h_margin"] == pytest.approx(excess, rel=1e-2)
+    if excess < 0:
+        assert rep["ok"]
+        assert not rep["failures"]
+        return
+    assert not rep["ok"]
+    assert [v["kind"] for v in rep["failures"]] == ["petrov_decrease", "petrov_hamiltonian"] * 2
+    assert [v["x"][0] for v in rep["failures"]] == pytest.approx([-0.99] * 2 + [0.99] * 2)
+
+
 def test_petrov_induced_candidate_certifies():
     ex = minimum_time_1d()
-    rep = check_weak_petrov(
-        ex.system, ex.target, sqrt_rate, 1.0, _petrov_points()
-    )
+    rep = check_weak_petrov(ex.system, ex.target, _petrov_points())
     # the induced candidate has H margin -(1 - p0_bar) by construction
     assert rep["worst_h_margin"] <= 1e-9
     # 0.25 falls between gauge knots, so allow the interpolation sag

@@ -148,6 +148,23 @@ def test_petrov_candidate_supersolution_checks_points(tmp_path):
     assert supers["worst_margin"] < 0
 
 
+def test_sub_level_set_reaching_the_grid_box_is_not_certified(tmp_path):
+    # on [-1, 1] the band top sigma = 1.5 lies beyond the box, so the
+    # sub-level set reaches both ends though H = -0.1 on the whole band
+    raw = yaml.safe_load((CONFIGS / "minimum_time.yaml").read_text())
+    raw["verify"]["grid"] = {"lower": [-1.0], "upper": [1.0], "spacing": 0.01}
+    del raw["synthesis"], raw["oracle"]
+    cfg = _write(tmp_path, yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["verify", "-c", cfg, "-o", str(out)]) == 1
+    rep = json.loads((out / "verify_report.json").read_text())
+    cert = rep["certificate"]
+    assert cert["worst_h"] == pytest.approx(-0.1)
+    assert cert["certified"] is False
+    assert [v["kind"] for v in cert["violations"]] == ["properness"] * 2
+    assert rep["passed"] is False
+
+
 # spiral on a coarse grid: 6,889 points, 4,454 of them in the band
 SPIRAL_COARSE_CFG = """\
 system:

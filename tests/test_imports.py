@@ -1,9 +1,10 @@
-"""The package needs no scipy, and the CLI does not pay for numpy.ma.
+"""The package needs no scipy, and the CLI does not pay for numpy.ma or numpy.polynomial.
 
 scipy serves only the reference flow the tests integrate with
 (``tests/flow_reference.py``); no module of the package imports it.
 ``np.unique``, ``np.union1d`` and ``np.median`` import ``numpy.ma`` on
-their first call, so the pipeline avoids them.  The run-time checks use
+their first call, so the pipeline avoids them; the weak-Petrov gauge is
+in closed form, so no quadrature rule loads ``numpy.polynomial``.  The run-time checks use
 a fresh interpreter, because this test process has imported both long
 before.
 """
@@ -30,6 +31,7 @@ print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "ma_at_import": ma_at_import,
     "ma_at_exit": "numpy.ma" in sys.modules,
+    "polynomial": "numpy.polynomial" in sys.modules,
 }))
 """
 
@@ -73,7 +75,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_minimum_time_pipeline_loads_no_scipy_and_no_numpy_ma(tmp_path):
-    # verify runs the weak-Petrov check (the gauge quadrature), and
+    # verify runs the weak-Petrov check (its gauge is in closed form), and
     # synthesize builds the distance envelopes and the pointwise minimum
     out = str(tmp_path)
     seen = _probe([
@@ -81,6 +83,7 @@ def test_minimum_time_pipeline_loads_no_scipy_and_no_numpy_ma(tmp_path):
         ["synthesize", "-c", "configs/minimum_time.yaml", "-o", out],
     ])
     assert seen["scipy"] == []
+    assert not seen["polynomial"]
     # a numpy that loads numpy.ma on import leaves nothing to check here
     if not seen["ma_at_import"]:
         assert not seen["ma_at_exit"]

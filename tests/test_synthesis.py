@@ -58,7 +58,8 @@ def test_synthesis_config_rejects(kwargs):
 def test_former_config_constants_keep_their_ranges():
     """The range checks that went with the keys synthesis.d_tol, petrov.delta and petrov.p0_bar."""
     assert synthesis_mod.D_TOL > 0
-    assert certificates.PETROV_DELTA > 0
+    # below r = 1 sqrt_rate is sqrt(r), so 2*sqrt(r) is the gauge check_weak_petrov reports
+    assert 0 < certificates.PETROV_DELTA <= 1
     # the composed candidate's Hamiltonian margin is -(1 - p0_bar)
     assert 0 <= certificates.PETROV_P0_BAR < 1
 
