@@ -753,7 +753,7 @@ def check_supersolution(
 
 # A Petrov margin above PETROV_TOL fails.  verify's weak-decrease check runs
 # with the rate sqrt_rate on 0 < d < PETROV_DELTA, and the composed
-# candidate's p0_bar
+# candidate's p0_bar.  PETROV_DELTA stays <= 1, where the gauge is 2 sqrt(r).
 PETROV_TOL = 1e-9
 PETROV_DELTA = 1.0
 PETROV_P0_BAR = 0.5
